@@ -43,18 +43,20 @@ void AblatePruning() {
           Workbench wb = MakeXMark(bytes, 7);
           auto def = XMarkView("Q2");
           XVM_CHECK(def.ok());
-          MaintainedView mv(std::move(def).value(), wb.store.get(),
-                            LatticeStrategy::kSnowcaps);
-          mv.set_options(arm.opts);
-          mv.Initialize();
-          auto out = mv.ApplyAndPropagate(
-              wb.doc.get(), insert ? MakeInsertStmt(*u) : MakeDeleteStmt(*u));
+          ViewManager mgr(wb.doc.get(), wb.store.get());
+          XVM_CHECK(
+              mgr.AddView(std::move(def).value(), LatticeStrategy::kSnowcaps)
+                  .ok());
+          mgr.mutable_view(0).set_options(arm.opts);
+          auto out = mgr.ApplyAndPropagateAll(insert ? MakeInsertStmt(*u)
+                                                     : MakeDeleteStmt(*u));
           XVM_CHECK(out.ok());
-          double prop_ms = out->timing.Get(phase::kGetExpression) +
-                           out->timing.Get(phase::kExecuteUpdate) +
-                           out->timing.Get(phase::kUpdateLattice);
+          const UpdateOutcome& o = out->per_view[0];
+          double prop_ms = o.timing.Get(phase::kGetExpression) +
+                           o.timing.Get(phase::kExecuteUpdate) +
+                           o.timing.Get(phase::kUpdateLattice);
           (insert ? ins_ms : del_ms) += prop_ms;
-          (insert ? ins_terms : del_terms) += out->stats.terms_evaluated;
+          (insert ? ins_terms : del_terms) += o.stats.terms_evaluated;
         }
       }
     }
@@ -120,29 +122,26 @@ void AblateSnowcapChoice() {
       Workbench wb = MakeXMark(bytes, 7);
       auto def = XMarkView("Q1");
       XVM_CHECK(def.ok());
-      std::unique_ptr<MaintainedView> mv;
+      ViewManager mgr(wb.doc.get(), wb.store.get());
       if (arm.mode == 0) {
         auto chosen =
             ChooseSnowcaps(def->pattern(), *wb.store, profile, 4);
-        mv = std::make_unique<MaintainedView>(std::move(def).value(),
-                                              wb.store.get(),
-                                              std::move(chosen));
+        XVM_CHECK(mgr.AddView(std::move(def).value(), std::move(chosen)).ok());
       } else {
-        mv = std::make_unique<MaintainedView>(
-            std::move(def).value(), wb.store.get(),
-            arm.mode == 1 ? LatticeStrategy::kSnowcaps
-                          : LatticeStrategy::kLeaves);
+        XVM_CHECK(mgr.AddView(std::move(def).value(),
+                              arm.mode == 1 ? LatticeStrategy::kSnowcaps
+                                            : LatticeStrategy::kLeaves)
+                      .ok());
       }
-      mv->Initialize();
       for (int i = 0; i < 3; ++i) {
-        auto out = mv->ApplyAndPropagate(wb.doc.get(), MakeInsertStmt(*u));
+        auto out = mgr.ApplyAndPropagateAll(MakeInsertStmt(*u));
         XVM_CHECK(out.ok());
-        ms += out->timing.Get(phase::kGetExpression) +
-              out->timing.Get(phase::kExecuteUpdate) +
-              out->timing.Get(phase::kUpdateLattice);
+        const PhaseTimer& t = out->per_view[0].timing;
+        ms += t.Get(phase::kGetExpression) + t.Get(phase::kExecuteUpdate) +
+              t.Get(phase::kUpdateLattice);
       }
-      lattice_tuples = mv->lattice().TotalTuples();
-      snowcap_count = mv->lattice().snowcaps().size();
+      lattice_tuples = mgr.view(0).lattice().TotalTuples();
+      snowcap_count = mgr.view(0).lattice().snowcaps().size();
     }
     std::printf("%-12s %14.3f %14zu %12zu\n", arm.name, ms / Reps(),
                 lattice_tuples, snowcap_count);

@@ -22,13 +22,10 @@ void Run() {
       Workbench wb = MakeXMark(bytes, 7);
       auto def = XMarkQ1Variant(variant);
       XVM_CHECK(def.ok());
-      MaintainedView mv(std::move(def).value(), wb.store.get(),
-                        LatticeStrategy::kSnowcaps);
-      mv.Initialize();
-      auto o = mv.ApplyAndPropagate(wb.doc.get(), del);
-      XVM_CHECK(o.ok());
-      modified = o->stats.tuples_modified;
-      return std::move(o).value();
+      UpdateOutcome o = ApplyToOneView(&wb, std::move(def).value(),
+                                       LatticeStrategy::kSnowcaps, del);
+      modified = o.stats.tuples_modified;
+      return o;
     });
     std::printf("%-18s %12.3f %12zu\n", variant.c_str(),
                 out.timing.TotalMs(), modified);

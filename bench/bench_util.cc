@@ -55,11 +55,18 @@ UpdateOutcome RunMaintained(const std::string& view_name, size_t bytes,
   Workbench wb = MakeXMark(bytes, seed);
   auto def = XMarkView(view_name);
   XVM_CHECK(def.ok());
-  MaintainedView mv(std::move(def).value(), wb.store.get(), strategy);
-  mv.Initialize();
-  auto out = mv.ApplyAndPropagate(wb.doc.get(), stmt);
+  return ApplyToOneView(&wb, std::move(def).value(), strategy, stmt);
+}
+
+UpdateOutcome ApplyToOneView(Workbench* wb, ViewDefinition def,
+                             LatticeStrategy strategy, const UpdateStmt& stmt) {
+  ViewManager mgr(wb->doc.get(), wb->store.get());
+  XVM_CHECK(mgr.AddView(std::move(def), strategy).ok());
+  auto out = mgr.ApplyAndPropagateAll(stmt);
   XVM_CHECK(out.ok());
-  return std::move(out).value();
+  UpdateOutcome o = std::move(out->per_view[0]);
+  o.timing.Merge(out->shared_timing);
+  return o;
 }
 
 UpdateOutcome RunRecompute(const std::string& view_name, size_t bytes,

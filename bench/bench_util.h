@@ -43,6 +43,13 @@ struct Workbench {
 
 Workbench MakeXMark(size_t bytes, uint64_t seed = 7);
 
+/// Registers `def` on a one-view ViewManager over `wb` and applies `stmt`.
+/// Returns the view's outcome with the statement's shared phases (target
+/// location, Δ extraction) merged in, so its timing has all five §6.1
+/// phases.
+UpdateOutcome ApplyToOneView(Workbench* wb, ViewDefinition def,
+                             LatticeStrategy strategy, const UpdateStmt& stmt);
+
 /// One measured maintenance run: fresh document, initialized view, one
 /// statement propagated. Returns the outcome (with the five-phase timing).
 UpdateOutcome RunMaintained(const std::string& view_name, size_t bytes,

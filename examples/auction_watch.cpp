@@ -11,7 +11,7 @@
 #include "baseline/recompute.h"
 #include "pattern/compile.h"
 #include "store/canonical.h"
-#include "view/maintain.h"
+#include "view/manager.h"
 #include "xmark/generator.h"
 #include "xmark/views.h"
 
@@ -28,19 +28,18 @@ int main() {
 
   // Three concurrent views over the same store: Q1 (registered persons),
   // Q3 (hot bids at exactly 4.50), Q13 (North-American items).
-  std::vector<std::unique_ptr<MaintainedView>> views;
+  ViewManager mgr(&doc, &store);
   for (const char* name : {"Q1", "Q3", "Q13"}) {
     auto def = XMarkView(name);
     XVM_CHECK(def.ok());
-    views.push_back(std::make_unique<MaintainedView>(
-        std::move(def).value(), &store, LatticeStrategy::kSnowcaps));
-    views.back()->Initialize();
+    auto idx = mgr.AddView(std::move(def).value(), LatticeStrategy::kSnowcaps);
+    XVM_CHECK(idx.ok());
     std::printf("  view %-4s: %4zu tuples\n", name,
-                views.back()->view().size());
+                mgr.view(*idx).view().size());
   }
 
-  // An update stream. With several views over one document, the document
-  // update is applied once and each view receives the propagation halves.
+  // An update stream. The manager applies each document update once and
+  // every view receives its propagation pass.
   struct Event {
     const char* what;
     UpdateStmt stmt;
@@ -75,67 +74,32 @@ int main() {
 
   for (const auto& event : stream) {
     std::printf("\n>> %s\n", event.what);
-    // One coordinator applies the document change; all views follow. (Each
-    // MaintainedView could also drive the update itself via
-    // ApplyAndPropagate when it is the only view.)
-    auto pul = ComputePul(doc, event.stmt);
-    XVM_CHECK(pul.ok());
-    std::vector<bool> needs_recompute(views.size(), false);
-    if (event.stmt.kind == UpdateStmt::Kind::kDelete) {
-      std::vector<DeltaTables> dms;
-      for (auto& v : views) {
-        std::set<LabelId> needs = v->DeltaMinusValLabelIds();
-        dms.push_back(ComputeDeltaMinus(doc, *pul, nullptr, &needs));
-      }
-      ApplyResult applied = ApplyPul(&doc, *pul, nullptr);
-      for (size_t i = 0; i < views.size(); ++i) {
-        PhaseTimer timing;
-        MaintenanceStats stats;
-        views[i]->PropagateDelete(dms[i], &timing, &stats);
-        needs_recompute[i] = stats.recompute_fallback;
-        std::printf("   %-4s -%lld derivations (%.2f ms)%s\n",
-                    views[i]->def().name().c_str(),
-                    static_cast<long long>(stats.derivations_removed),
-                    timing.TotalMs(),
-                    stats.recompute_fallback ? " [recompute fallback]" : "");
-      }
-      store.OnNodesRemoved(applied.deleted_nodes);
-    } else {
-      ApplyResult applied = ApplyPul(&doc, *pul, nullptr);
-      for (size_t i = 0; i < views.size(); ++i) {
-        auto& v = views[i];
-        DeltaNeeds needs = v->DeltaPlusNeeds();
-        DeltaTables dp = ComputeDeltaPlus(doc, applied, nullptr, &needs);
-        PhaseTimer timing;
-        MaintenanceStats stats;
-        v->PropagateInsert(dp, nullptr, &timing, &stats);
-        needs_recompute[i] = stats.recompute_fallback;
-        std::printf("   %-4s +%lld derivations (%.2f ms)%s\n",
-                    v->def().name().c_str(),
-                    static_cast<long long>(stats.derivations_added),
-                    timing.TotalMs(),
-                    stats.recompute_fallback ? " [recompute fallback]" : "");
-      }
-      store.OnNodesAdded(applied.inserted_nodes);
-    }
-    // Predicate-guard fallbacks recompute once the store is consistent.
-    for (size_t i = 0; i < views.size(); ++i) {
-      if (needs_recompute[i]) views[i]->RecomputeFromStore();
+    auto out = mgr.ApplyAndPropagateAll(event.stmt);
+    XVM_CHECK(out.ok());
+    for (size_t i = 0; i < mgr.size(); ++i) {
+      const UpdateOutcome& o = out->per_view[i];
+      std::printf("   %-4s +%lld -%lld derivations (%.2f ms)%s\n",
+                  mgr.view(i).def().name().c_str(),
+                  static_cast<long long>(o.stats.derivations_added),
+                  static_cast<long long>(o.stats.derivations_removed),
+                  o.timing.TotalMs(),
+                  o.stats.recompute_fallback ? " [recompute fallback]" : "");
     }
   }
 
   // Final audit: every maintained view equals a from-scratch evaluation.
   std::printf("\n== audit ==\n");
   bool all_ok = true;
-  for (auto& v : views) {
-    const TreePattern& pat = v->def().pattern();
+  for (size_t v = 0; v < mgr.size(); ++v) {
+    const MaintainedView& view = mgr.view(v);
+    const TreePattern& pat = view.def().pattern();
     auto truth = EvalViewWithCounts(pat, StoreLeafSource(&store, &pat));
-    auto got = v->view().Snapshot();
+    auto got = view.view().Snapshot();
     bool ok = truth.size() == got.size();
     for (size_t i = 0; ok && i < truth.size(); ++i) {
       ok = truth[i].tuple == got[i].tuple && truth[i].count == got[i].count;
     }
-    std::printf("  %-4s: %4zu tuples — %s\n", v->def().name().c_str(),
+    std::printf("  %-4s: %4zu tuples — %s\n", view.def().name().c_str(),
                 got.size(), ok ? "consistent" : "MISMATCH");
     all_ok = all_ok && ok;
   }

@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "store/canonical.h"
-#include "view/maintain.h"
+#include "view/manager.h"
 #include "xml/parser.h"
 
 using namespace xvm;
@@ -56,29 +56,31 @@ int main() {
   auto def = ViewDefinition::Create(
       "pubs", "//confs{id}(//paper{id}(/affiliation{id,cont}))");
   XVM_CHECK(def.ok());
-  MaintainedView mv(std::move(def).value(), &store,
-                    LatticeStrategy::kSnowcaps);
-  mv.Initialize();
+  ViewManager mgr(&doc, &store);
+  XVM_CHECK(
+      mgr.AddView(std::move(def).value(), LatticeStrategy::kSnowcaps).ok());
+  const MaintainedView& mv = mgr.view(0);
   Show(mv, "initial view");
 
   // Statement-level update: every paper gains a new affiliation. The 2^k-1
   // union-term expression is pruned down by Prop. 3.3 (update-independent),
   // Prop. 3.6 (no new confs/paper nodes) and Prop. 3.8 (anchors lie under
   // paper), leaving a single term: R_confs R_paper Δ+_affiliation.
-  auto out = mv.ApplyAndPropagate(
-      &doc, UpdateStmt::InsertForest("//paper",
-                                     "<affiliation>Basilicata</affiliation>"));
+  auto out = mgr.ApplyAndPropagateAll(
+      UpdateStmt::InsertForest("//paper",
+                               "<affiliation>Basilicata</affiliation>"));
   XVM_CHECK(out.ok());
+  const MaintenanceStats& stats = out->per_view[0].stats;
   std::printf("\nunion terms: %zu considered, %zu pruned by the data-driven "
               "criteria, %zu evaluated\n\n",
-              out->stats.terms_considered, out->stats.terms_pruned_data,
-              out->stats.terms_evaluated);
+              stats.terms_considered, stats.terms_pruned_data,
+              stats.terms_evaluated);
   Show(mv, "after inserting affiliations");
 
   // Deleting a whole paper removes its tuples via PDDT; the Δ− tables are
   // extracted from the pending update list before the subtree disappears.
-  auto out2 = mv.ApplyAndPropagate(
-      &doc, UpdateStmt::Delete("//paper[title=\"Structural joins\"]"));
+  auto out2 = mgr.ApplyAndPropagateAll(
+      UpdateStmt::Delete("//paper[title=\"Structural joins\"]"));
   XVM_CHECK(out2.ok());
   std::printf("\n");
   Show(mv, "after deleting the structural-joins paper");

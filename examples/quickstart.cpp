@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "store/canonical.h"
-#include "view/maintain.h"
+#include "view/manager.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -63,30 +63,30 @@ int main() {
       "titles", "//shelf{id}(//book{id}(/title{id,val}))");
   XVM_CHECK(def.ok());
 
-  // 4. Materialize it with the snowcap-lattice maintenance strategy.
-  MaintainedView view(std::move(def).value(), &store,
-                      LatticeStrategy::kSnowcaps);
-  view.Initialize();
+  // 4. Register it with a ViewManager, which materializes it with the
+  //    snowcap-lattice maintenance strategy and applies every update.
+  ViewManager mgr(&doc, &store);
+  XVM_CHECK(
+      mgr.AddView(std::move(def).value(), LatticeStrategy::kSnowcaps).ok());
+  const MaintainedView& view = mgr.view(0);
   std::printf("== after initialization ==\n");
   PrintView(view);
 
   // 5. A statement-level insertion: every databases shelf gains a book.
   //    The view is maintained incrementally (PINT), not recomputed.
-  auto out1 = view.ApplyAndPropagate(
-      &doc, UpdateStmt::InsertForest(
-                "/library/shelf[@topic=\"databases\"]",
-                "<book year=\"2025\"><title>Algebraic Maintenance</title>"
-                "</book>"));
+  auto out1 = mgr.ApplyAndPropagateAll(UpdateStmt::InsertForest(
+      "/library/shelf[@topic=\"databases\"]",
+      "<book year=\"2025\"><title>Algebraic Maintenance</title></book>"));
   XVM_CHECK(out1.ok());
   std::printf("\n== after insert (+%zu nodes, %zu term(s) evaluated, "
               "%zu pruned) ==\n",
-              out1->nodes_inserted, out1->stats.terms_evaluated,
-              out1->stats.terms_pruned_data);
+              out1->nodes_inserted, out1->per_view[0].stats.terms_evaluated,
+              out1->per_view[0].stats.terms_pruned_data);
   PrintView(view);
 
   // 6. A deletion: drop every pre-2000 book (PDDT/PDMT).
-  auto out2 = view.ApplyAndPropagate(
-      &doc, UpdateStmt::Delete("//book[@year=\"1994\"]"));
+  auto out2 =
+      mgr.ApplyAndPropagateAll(UpdateStmt::Delete("//book[@year=\"1994\"]"));
   XVM_CHECK(out2.ok());
   std::printf("\n== after delete (-%zu nodes) ==\n", out2->nodes_deleted);
   PrintView(view);

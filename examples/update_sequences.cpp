@@ -8,7 +8,7 @@
 
 #include "pul/pul.h"
 #include "store/canonical.h"
-#include "view/maintain.h"
+#include "view/manager.h"
 #include "xml/parser.h"
 #include "xpath/xpath_eval.h"
 
@@ -98,16 +98,18 @@ int main() {
   // Propagate the reduced sequence to a maintained view in one pass.
   auto def = ViewDefinition::Create("v", "//b{id}(//d{id}(//b{id}))");
   XVM_CHECK(def.ok());
-  MaintainedView mv(std::move(def).value(), &store,
-                    LatticeStrategy::kSnowcaps);
-  mv.Initialize();
+  ViewManager mgr(&doc, &store);
+  XVM_CHECK(
+      mgr.AddView(std::move(def).value(), LatticeStrategy::kSnowcaps).ok());
+  const MaintainedView& mv = mgr.view(0);
   std::printf("\nview //b//d//b before: %zu tuple(s)\n", mv.view().size());
-  auto out = mv.ApplyOpsAndPropagate(&doc, reduced);
+  auto out = mgr.ApplyOpsAndPropagateAll(reduced);
   XVM_CHECK(out.ok());
+  const MaintenanceStats& propagated = out->per_view[0].stats;
   std::printf("after reduced sequence: %zu tuple(s) "
               "(+%lld / -%lld derivations)\n",
               mv.view().size(),
-              static_cast<long long>(out->stats.derivations_added),
-              static_cast<long long>(out->stats.derivations_removed));
+              static_cast<long long>(propagated.derivations_added),
+              static_cast<long long>(propagated.derivations_removed));
   return 0;
 }

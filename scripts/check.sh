@@ -26,6 +26,11 @@
 #   8. TSan re-run of the snapshot-serving suite: concurrent reader threads
 #      race the maintenance coordinator through the RCU publication slot,
 #      and every observed snapshot is replay-verified against a recompute.
+#   9. End-to-end benchmark self-test (perfbench/tests/selftest.py): builds
+#      perfbench/ — whose traced replica compiles against the engine's
+#      headers — and runs each workload for 1 s on a 64 KB document,
+#      checking that the replica stays bit-identical to the ViewManager and
+#      that views equal recompute.
 #
 # Every configuration is exported with CMAKE_EXPORT_COMPILE_COMMANDS=ON so
 # clang-tidy and the thread-safety leg analyze against the real flags of a
@@ -168,5 +173,10 @@ step "serving stress (thread sanitizer, concurrent readers vs maintenance)"
 XVM_CHECK_INVARIANTS=1 \
   ctest --test-dir build-tsan -R 'ServingStress|ViewSnapshotTest' \
         --output-on-failure -j "$JOBS"
+
+step "perfbench (end-to-end benchmark self-test)"
+# Nothing else builds perfbench/, so a header change that breaks the traced
+# replica, or a pipeline change it no longer mirrors, fails here.
+python3 perfbench/tests/selftest.py
 
 step "all checks passed"

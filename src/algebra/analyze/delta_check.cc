@@ -954,8 +954,9 @@ class Checker {
       }
     }
 
-    // Mirror ApplyAndPropagate: Δ− before the update, apply with a null
-    // store (relations roll forward only after propagation), then Δ+.
+    // Mirror ViewManager's stage half for one view: Δ− before the update,
+    // apply with a null store (relations roll forward only after the flush
+    // half's propagation), then Δ+.
     DeltaTables dm;
     if (!pul.deletes.empty()) {
       std::set<LabelId> needs;

@@ -313,7 +313,6 @@ const std::vector<std::string>& RegisteredPoints() {
       "checkpoint:before_manifest",
       "checkpoint:before_wal_truncate",
       "checkpoint:begin",
-      "deferred_checkpoint:before_wal_truncate",
       "wal:append_before_fsync",
       "wal:append_partial",
       "wal:reset_before_fsync",

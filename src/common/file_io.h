@@ -94,11 +94,6 @@ namespace fault {
 ///   checkpoint:begin               before any checkpoint artifact is written
 ///   checkpoint:before_manifest     snapshots written, manifest still old
 ///   checkpoint:before_wal_truncate manifest committed, WAL still full
-///   deferred_checkpoint:before_wal_truncate
-///                                  deferred view saved, WAL still full
-///                                  (DeferredView::Checkpoint — the view-only
-///                                  checkpoint whose doc durability the
-///                                  caller owns, see view/deferred.h)
 ///
 /// The state is process-global and intended for the single coordinator
 /// thread that runs checkpoints (ViewManager's external-synchronization

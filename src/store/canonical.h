@@ -45,8 +45,8 @@ class StoreIndex {
   void Build();
 
   /// Registers freshly inserted nodes (any labels, any order). Nodes must
-  /// be alive unless `allow_dead` — the deferred-maintenance roll-forward
-  /// (DeferredView::Flush) registers nodes a *later queued* statement has
+  /// be alive unless `allow_dead` — ViewManager::Flush, draining several
+  /// deferred statements, registers nodes a *later queued* statement has
   /// already deleted from the document, so that earlier statements' R
   /// relations match the store state as of their own step; the later
   /// statement's OnNodesRemoved takes them out again before the flush ends.

@@ -8,8 +8,6 @@
 #include "algebra/analyze/build_plan.h"
 #include "algebra/analyze/delta_check.h"
 #include "common/invariant.h"
-#include "store/audit.h"
-#include "view/audit.h"
 #include "view/plan_check.h"
 
 namespace xvm {
@@ -447,104 +445,6 @@ void MaintainedView::RunPdmt(const DeletedRegion& region,
     return changed;
   });
   stats->tuples_modified += modified;
-}
-
-StatusOr<UpdateOutcome> MaintainedView::ApplyAndPropagate(
-    Document* doc, const UpdateStmt& stmt) {
-  XVM_CHECK(doc == &store_->doc());
-  UpdateOutcome out;
-  XVM_ASSIGN_OR_RETURN(Pul pul, ComputePul(*doc, stmt, &out.timing));
-  // The general (replace-capable) flow: Δ− before the PUL touches the
-  // document, Δ+ after, delete propagation before insert propagation, and
-  // the insert pass excludes R-side bindings under deleted subtrees.
-  DeltaTables dm;
-  if (!pul.deletes.empty()) {
-    std::set<LabelId> needs = DeltaMinusValLabelIds();
-    dm = ComputeDeltaMinus(*doc, pul, &out.timing, &needs);
-  }
-  ApplyResult applied = ApplyPul(doc, pul, nullptr);
-  // The relations roll forward only after propagation (so the scans read the
-  // old R_l), but the val/cont cache is defined against the *current*
-  // document — invalidate before anything reads through it.
-  InvalidateStoreValCont(store_, applied);
-  out.nodes_deleted = applied.deleted_nodes.size();
-  out.nodes_inserted = applied.inserted_nodes.size();
-  DeltaTables dp;
-  if (!pul.inserts.empty()) {
-    DeltaNeeds needs = DeltaPlusNeeds();
-    dp = ComputeDeltaPlus(*doc, applied, &out.timing, &needs);
-  }
-  DeletedRegion region(dm.anchor_ids());
-  if (!dm.anchor_ids().empty()) {
-    PropagateDelete(dm, &out.timing, &out.stats);
-  }
-  if (!applied.inserted_nodes.empty() && !out.stats.recompute_fallback) {
-    PropagateInsert(dp, region.empty() ? nullptr : &region, &out.timing,
-                    &out.stats);
-  }
-  store_->OnNodesRemoved(applied.deleted_nodes);
-  store_->OnNodesAdded(applied.inserted_nodes);
-  if (out.stats.recompute_fallback) {
-    ScopedPhase phase(&out.timing, phase::kExecuteUpdate);
-    RecomputeFromStore();
-  }
-  MaybeAuditAfterStatement(*doc, "MaintainedView::ApplyAndPropagate");
-  return out;
-}
-
-StatusOr<UpdateOutcome> MaintainedView::ApplyOpsAndPropagate(
-    Document* doc, const OpSequence& ops) {
-  XVM_CHECK(doc == &store_->doc());
-  UpdateOutcome out;
-  // Δ− must be extracted before the ops touch the document.
-  Pul del_pul;
-  for (const AtomicOp& op : ops) {
-    if (op.kind != AtomicOp::Kind::kDelete || op.payload_ref.has_value()) {
-      continue;
-    }
-    NodeHandle h = doc->FindById(op.target);
-    if (h != kNullNode) del_pul.deletes.push_back(PulDeleteOp{h});
-  }
-  std::set<LabelId> needs = DeltaMinusValLabelIds();
-  DeltaTables dm = ComputeDeltaMinus(*doc, del_pul, &out.timing, &needs);
-
-  ApplyResult applied = ApplyAtomicOps(doc, ops, nullptr);
-  InvalidateStoreValCont(store_, applied);
-  out.nodes_deleted = applied.deleted_nodes.size();
-  out.nodes_inserted = applied.inserted_nodes.size();
-  DeltaNeeds plus_needs = DeltaPlusNeeds();
-  DeltaTables dp = ComputeDeltaPlus(*doc, applied, &out.timing, &plus_needs);
-
-  DeletedRegion region(dm.anchor_ids());
-  if (!dm.anchor_ids().empty()) {
-    PropagateDelete(dm, &out.timing, &out.stats);
-  }
-  if (!dp.anchor_ids().empty() && !out.stats.recompute_fallback) {
-    PropagateInsert(dp, region.empty() ? nullptr : &region, &out.timing,
-                    &out.stats);
-  }
-  store_->OnNodesRemoved(applied.deleted_nodes);
-  store_->OnNodesAdded(applied.inserted_nodes);
-  if (out.stats.recompute_fallback) {
-    ScopedPhase phase(&out.timing, phase::kExecuteUpdate);
-    RecomputeFromStore();
-  }
-  MaybeAuditAfterStatement(*doc, "MaintainedView::ApplyOpsAndPropagate");
-  return out;
-}
-
-void MaintainedView::MaybeAuditAfterStatement(const Document& doc,
-                                              const char* where) {
-  if (!InvariantAuditingEnabled()) return;
-  const uint64_t seq = audit_seq_++;
-  InvariantReport report;
-  AuditStorageLayer(doc, *store_, &report);
-  // The view audit is a full re-derivation, so it is sampled (period 1 =
-  // every statement; see InvariantAuditSamplePeriod).
-  if (seq % InvariantAuditSamplePeriod() == 0) {
-    AuditViewContent(*this, *store_, &report);
-  }
-  if (!report.ok()) InvariantAuditFailed(report, where);
 }
 
 }  // namespace xvm

@@ -11,7 +11,6 @@
 #include "algebra/exec/exec.h"
 #include "common/status.h"
 #include "common/timing.h"
-#include "pul/pul.h"
 #include "store/canonical.h"
 #include "update/delta.h"
 #include "update/update.h"
@@ -42,15 +41,6 @@ class DeletedRegion {
   std::vector<DeweyId> roots_;
 };
 
-/// A materialized view kept incrementally consistent with its document —
-/// the paper's contribution, Algorithms 1–6. One instance owns the view
-/// content and its auxiliary lattice structures; the canonical-relation
-/// store is shared with the document.
-///
-/// Lifecycle:
-///   MaintainedView v(def, &store, LatticeStrategy::kSnowcaps);
-///   v.Initialize();                       // evaluate view + snowcaps
-///   v.ApplyAndPropagate(&doc, update);    // document changes, view follows
 /// Tuning knobs, mainly for ablation studies. Disabling a pruning
 /// proposition never affects correctness — only how many provably-empty
 /// terms get evaluated.
@@ -59,6 +49,17 @@ struct MaintainOptions {
   bool prune_anchor_paths = true;  // Props. 3.8 / 4.7
 };
 
+/// A materialized view kept incrementally consistent with its document —
+/// the paper's contribution, Algorithms 1–6. One instance owns the view
+/// content and its auxiliary lattice structures; the canonical-relation
+/// store is shared with the document.
+///
+/// Views are registered with and updated through a ViewManager
+/// (view/manager.h), which runs the statement pipeline:
+///   ViewManager mgr(&doc, &store);
+///   mgr.AddView(def, LatticeStrategy::kSnowcaps);  // CheckPlans+Initialize
+///   mgr.ApplyAndPropagateAll(stmt);  // document changes, views follow
+/// This class provides the per-view halves that pipeline calls.
 class MaintainedView {
  public:
   MaintainedView(ViewDefinition def, StoreIndex* store,
@@ -95,19 +96,8 @@ class MaintainedView {
   MaterializedView& mutable_view() { return view_; }
   ViewLattice& mutable_lattice() { return lattice_; }
 
-  /// Statement-level maintenance: computes the PUL, applies the update to
-  /// the document *and* the store, and propagates the change to the view —
-  /// PINT/PIMT for insertions (Fig. 8), PDDT/PDMT for deletions (Fig. 9).
-  StatusOr<UpdateOutcome> ApplyAndPropagate(Document* doc,
-                                            const UpdateStmt& stmt);
-
-  /// Like ApplyAndPropagate but for an already-expanded atomic-op sequence
-  /// (the §5 pipeline: compute-pul → optimization rules → propagate).
-  StatusOr<UpdateOutcome> ApplyOpsAndPropagate(Document* doc,
-                                               const OpSequence& ops);
-
-  /// Propagation halves, usable by an external coordinator that applies the
-  /// document update itself (the document must already reflect the update;
+  /// Propagation halves, called by a coordinator that applies the document
+  /// update itself (the document must already reflect the update;
   /// the store must NOT yet — its canonical relations are the old R_l the
   /// union terms read). `region` restricts R-side bindings to live nodes
   /// (required whenever the same statement also deleted nodes).
@@ -167,9 +157,6 @@ class MaintainedView {
   void RunPimt(const DeltaTables& delta, MaintenanceStats* stats);
   void RunPdmt(const DeletedRegion& region, MaintenanceStats* stats);
   bool PredicateGuardTriggered(const DeltaTables& delta) const;
-  /// Debug-mode invariant audit (common/invariant.h) after a statement this
-  /// view applied itself; aborts with diagnostics on any violation.
-  void MaybeAuditAfterStatement(const Document& doc, const char* where);
 
   ViewDefinition def_;
   StoreIndex* store_;
@@ -188,8 +175,7 @@ class MaintainedView {
   // whether the R-part is a materialized snowcap is a function of the
   // lattice, which is fixed, so it needs no key component.
   std::map<std::tuple<NodeSet, NodeSet, bool>, PhysicalPlan> term_plans_;
-  ExecStats exec_stats_;    // accumulated by EvaluateTerm, drained by manager
-  uint64_t audit_seq_ = 0;  // statements audited (samples the view audit)
+  ExecStats exec_stats_;  // accumulated by EvaluateTerm, drained by manager
 };
 
 }  // namespace xvm

@@ -95,20 +95,21 @@ Status DecodeManifest(const std::string& bytes, Manifest* m) {
 
 StatusOr<size_t> ViewManager::AddView(ViewDefinition def,
                                       LatticeStrategy strategy) {
-  auto view =
-      std::make_unique<MaintainedView>(std::move(def), store_, strategy);
-  XVM_RETURN_IF_ERROR(view->CheckPlans());
-  views_.push_back(std::move(view));
-  views_.back()->Initialize();
-  PublishSnapshots();
-  return views_.size() - 1;
+  return Register(
+      std::make_unique<MaintainedView>(std::move(def), store_, strategy));
 }
 
 StatusOr<size_t> ViewManager::AddView(ViewDefinition def,
                                       std::vector<NodeSet> snowcaps) {
-  auto view = std::make_unique<MaintainedView>(std::move(def), store_,
-                                               std::move(snowcaps));
+  return Register(std::make_unique<MaintainedView>(std::move(def), store_,
+                                                   std::move(snowcaps)));
+}
+
+StatusOr<size_t> ViewManager::Register(std::unique_ptr<MaintainedView> view) {
   XVM_RETURN_IF_ERROR(view->CheckPlans());
+  // A new view is evaluated over the store, which must first catch up with
+  // the document.
+  Flush();
   views_.push_back(std::move(view));
   views_.back()->Initialize();
   PublishSnapshots();
@@ -142,87 +143,132 @@ void ViewManager::RunPerView(const std::function<void(size_t)>& fn) {
 
 StatusOr<MultiUpdateOutcome> ViewManager::ApplyAndPropagateAll(
     const UpdateStmt& stmt) {
+  XVM_RETURN_IF_ERROR(Defer(stmt));
+  return Flush();
+}
+
+StatusOr<MultiUpdateOutcome> ViewManager::ApplyOpsAndPropagateAll(
+    const OpSequence& ops) {
+  if (durable()) {
+    return Status::FailedPrecondition(
+        "atomic-op sequences cannot be logged: the WAL records statements");
+  }
+  publisher_.BeginStatement(++seq_);
+  // Δ− must be read off the document before the ops touch it; payload-ref
+  // deletes remove copies the sequence itself inserted.
+  Pul deletes;
+  for (const AtomicOp& op : ops) {
+    if (op.kind != AtomicOp::Kind::kDelete || op.payload_ref.has_value()) {
+      continue;
+    }
+    NodeHandle h = doc_->FindById(op.target);
+    if (h != kNullNode) deletes.deletes.push_back(PulDeleteOp{h});
+  }
+  StagePul(deletes, &ops);
+  return Flush();
+}
+
+Status ViewManager::Defer(const UpdateStmt& stmt) {
   // Log-before-touch: the statement must be durable before any effect lands
   // on the document, so a crash anywhere below is replayed from the WAL.
   // During recovery replay the record is already in the log.
   if (!replaying_) {
     const uint64_t lsn = seq_ + 1;
-    if (wal_ != nullptr && wal_->is_open()) {
-      XVM_RETURN_IF_ERROR(wal_->Append(lsn, stmt));
-    }
+    if (durable()) XVM_RETURN_IF_ERROR(wal_->Append(lsn, stmt));
     seq_ = lsn;
   }
-  // Readers acquiring a snapshot from here until the publish at the end of
-  // this call observe (and report) a staleness of one statement.
+  // Readers acquiring a snapshot from here until the next publish observe
+  // (and report) the statements still in flight as staleness.
   publisher_.BeginStatement(seq_);
 
-  MultiUpdateOutcome out;
-  out.per_view.resize(views_.size());
-  out.workers = workers_;
-
-  StatusOr<Pul> pul_or = ComputePul(*doc_, stmt, &out.shared_timing);
-  if (!pul_or.ok()) {
-    // The statement consumed an LSN but had no effect; re-stamp the current
-    // snapshots at it so reader-visible staleness returns to zero.
-    PublishSnapshots();
-    return pul_or.status();
+  StatusOr<Pul> pul = ComputePul(*doc_, stmt, &staged_.shared_timing);
+  if (!pul.ok()) {
+    // The statement consumed an LSN but had no effect. With nothing else in
+    // flight, re-stamp the current snapshots at it so reader-visible
+    // staleness returns to zero.
+    if (queue_.empty()) PublishSnapshots();
+    return pul.status();
   }
-  Pul pul = *std::move(pul_or);
+  StagePul(*pul, nullptr);
+  return Status::Ok();
+}
 
+void ViewManager::StagePul(const Pul& pul, const OpSequence* ops) {
+  PhaseTimer* timing = &staged_.shared_timing;
   // Batched Δ extraction: once per statement, with the union of every
-  // view's payload needs. Δ− must be read off the document *before* the PUL
-  // is applied (the doomed nodes are still resolvable), Δ+ after.
-  BatchedDeltaPlan plan;
+  // view's payload needs. Δ− must be read off the document *before* the
+  // update is applied (the doomed nodes are still resolvable), Δ+ after.
+  Staged entry;
+  BatchedDeltaPlan& plan = entry.plan;
   if (!pul.deletes.empty()) {
     std::set<LabelId> val_needs;
     for (const auto& v : views_) {
       std::set<LabelId> n = v->DeltaMinusValLabelIds();
       val_needs.insert(n.begin(), n.end());
     }
-    plan.delta_minus =
-        ComputeDeltaMinus(*doc_, pul, &out.shared_timing, &val_needs);
+    plan.delta_minus = ComputeDeltaMinus(*doc_, pul, timing, &val_needs);
     plan.has_deletes = !plan.delta_minus.anchor_ids().empty();
     plan.region = DeletedRegion(plan.delta_minus.anchor_ids());
   }
-  ApplyResult applied = ApplyPul(doc_, pul, nullptr);
-  // The store rolls forward after the fan-out, but the val/cont cache is
-  // defined against the current document — invalidate before any worker
+  ApplyResult applied = ops == nullptr ? ApplyPul(doc_, pul, nullptr)
+                                       : ApplyAtomicOps(doc_, *ops, nullptr);
+  // The store rolls forward in the flush half, but the val/cont cache is
+  // defined against the current document — invalidate before anything
   // reads through it.
   InvalidateStoreValCont(store_, applied);
-  if (!pul.inserts.empty()) {
+  // An op sequence's inserts are not in `pul`; its applied nodes are.
+  if (!pul.inserts.empty() || !applied.inserted_nodes.empty()) {
     DeltaNeeds needs;
     for (const auto& v : views_) needs.MergeFrom(v->DeltaPlusNeeds());
-    plan.delta_plus =
-        ComputeDeltaPlus(*doc_, applied, &out.shared_timing, &needs);
+    plan.delta_plus = ComputeDeltaPlus(*doc_, applied, timing, &needs);
     plan.has_inserts = !applied.inserted_nodes.empty();
   }
-  out.nodes_deleted = applied.deleted_nodes.size();
-  out.nodes_inserted = applied.inserted_nodes.size();
+  staged_.nodes_deleted += applied.deleted_nodes.size();
+  staged_.nodes_inserted += applied.inserted_nodes.size();
+  entry.inserted_nodes = std::move(applied.inserted_nodes);
+  entry.deleted_nodes = std::move(applied.deleted_nodes);
+  queue_.push_back(std::move(entry));
+}
 
-  // Fan-out: document updated, store still pre-update (its canonical
-  // relations are the old R_l the union terms read), plan frozen — each view
-  // touches only its own state. For a replace-style PUL the Δ− pass runs
-  // first and the Δ+ pass excludes R-side bindings beneath replaced
-  // subtrees via plan.region.
+MultiUpdateOutcome ViewManager::Flush() {
+  MultiUpdateOutcome out = std::exchange(staged_, MultiUpdateOutcome{});
+  out.per_view.resize(views_.size());
+  out.workers = workers_;
+  if (queue_.empty()) return out;
+
   WallTimer wall;
-  RunPerView([&](size_t i) {
-    UpdateOutcome& o = out.per_view[i];
-    o.nodes_inserted = applied.inserted_nodes.size();
-    o.nodes_deleted = applied.deleted_nodes.size();
-    if (plan.has_deletes) {
-      views_[i]->PropagateDelete(plan.delta_minus, &o.timing, &o.stats);
-    }
-    if (plan.has_inserts && !o.stats.recompute_fallback) {
-      views_[i]->PropagateInsert(plan.delta_plus,
-                                 plan.region.empty() ? nullptr : &plan.region,
-                                 &o.timing, &o.stats);
-    }
-  });
-
-  // Canonical relations roll forward once, after every view has read the
-  // old R_l.
-  store_->OnNodesRemoved(applied.deleted_nodes);
-  store_->OnNodesAdded(applied.inserted_nodes);
+  while (!queue_.empty()) {
+    const Staged entry = std::move(queue_.front());
+    queue_.pop_front();
+    // Fan-out: document updated, store still as of the previous statement
+    // (its canonical relations are the old R_l the union terms read), plan
+    // frozen — each view touches only its own state. For a replace-style
+    // PUL the Δ− pass runs first and the Δ+ pass excludes R-side bindings
+    // beneath replaced subtrees via plan.region. A view that fell back
+    // skips the rest of the queue; it recomputes once at the end.
+    const BatchedDeltaPlan& plan = entry.plan;
+    RunPerView([&](size_t i) {
+      UpdateOutcome& o = out.per_view[i];
+      o.nodes_inserted += entry.inserted_nodes.size();
+      o.nodes_deleted += entry.deleted_nodes.size();
+      if (plan.has_deletes && !o.stats.recompute_fallback) {
+        views_[i]->PropagateDelete(plan.delta_minus, &o.timing, &o.stats);
+      }
+      if (plan.has_inserts && !o.stats.recompute_fallback) {
+        views_[i]->PropagateInsert(plan.delta_plus,
+                                   plan.region.empty() ? nullptr : &plan.region,
+                                   &o.timing, &o.stats);
+      }
+    });
+    // Canonical relations roll forward once per statement, after every
+    // view has read the old R_l. While later statements are queued, nodes
+    // this one inserted may already be dead in the document (a later
+    // statement deleted them); they still are R rows for the statements in
+    // between, and that later statement's roll-forward takes them out.
+    store_->OnNodesRemoved(entry.deleted_nodes);
+    store_->OnNodesAdded(entry.inserted_nodes,
+                         /*allow_dead=*/!queue_.empty());
+  }
 
   // Predicate-guard fallbacks rebuild from the now-consistent store; they
   // are per-view recomputes, so they fan out too.
@@ -233,7 +279,7 @@ StatusOr<MultiUpdateOutcome> ViewManager::ApplyAndPropagateAll(
   });
   out.propagate_wall_ms = wall.ElapsedMs();
 
-  MaybeAuditAfterStatement();
+  MaybeAuditAfterFlush();
   PublishSnapshots();
   RecordMetrics(out);
   return out;
@@ -290,6 +336,8 @@ Status ViewManager::EnableDurability(const std::string& dir) {
 
 Status ViewManager::Checkpoint(const std::string& dir) {
   XVM_RETURN_IF_ERROR(EnsureDir(dir));
+  // The document snapshot below must not run ahead of the views.
+  Flush();
   XVM_FAULT_POINT("checkpoint:begin");
 
   // New-generation snapshot files first. Until the manifest below commits,
@@ -400,27 +448,27 @@ Status ViewManager::Recover(const std::string& dir) {
   seq_ = std::max(seq_, wal_->last_lsn());
   dur_dir_ = dir;
   recovered_ = true;
-  // Checkpoint-loaded content and skipped-replay statements bypass
-  // ApplyAndPropagateAll's per-statement publish; expose the recovered
-  // state to readers in one final swap.
+  // Checkpoint-loaded content and skipped-replay statements bypass the
+  // flush half's publish; expose the recovered state to readers in one
+  // final swap.
   PublishSnapshots();
   return Status::Ok();
 }
 
-void ViewManager::MaybeAuditAfterStatement() {
+void ViewManager::MaybeAuditAfterFlush() {
   if (!InvariantAuditingEnabled()) return;
   const uint64_t seq = audit_seq_++;
   InvariantReport report;
   AuditStorageLayer(*doc_, *store_, &report);
-  // View audits re-derive the whole view, so they are sampled: each
-  // statement audits every period-th view, rotating so every view is
-  // audited every `period` statements.
+  // View audits re-derive the whole view, so they are sampled: each flush
+  // audits every period-th view, rotating so every view is audited every
+  // `period` flushes.
   const size_t period = InvariantAuditSamplePeriod();
   for (size_t i = 0; i < views_.size(); ++i) {
     if ((seq + i) % period == 0) AuditViewContent(*views_[i], *store_, &report);
   }
   if (!report.ok()) {
-    InvariantAuditFailed(report, "ViewManager::ApplyAndPropagateAll");
+    InvariantAuditFailed(report, "ViewManager::Flush");
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef XVM_VIEW_MANAGER_H_
 #define XVM_VIEW_MANAGER_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -9,6 +10,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/threadpool.h"
+#include "pul/pul.h"
 #include "view/maintain.h"
 #include "view/snapshot.h"
 #include "view/wal.h"
@@ -50,12 +52,21 @@ inline constexpr char kServingMetricsView[] = "__serving__";
 // algebra/exec/exec.h next to the executor that produces them.
 
 /// Coordinates several materialized views over one document/store: the
-/// paper's "context where several views are materialized" (§3.5). A
-/// statement is located and applied to the document exactly once; the Δ
-/// tables are extracted once with the union of all views' payload needs
-/// (BatchedDeltaPlan); every view then receives its propagation pass —
-/// concurrently when set_workers(n > 1) — and the canonical relations are
-/// brought forward once at the end.
+/// paper's "context where several views are materialized" (§3.5), and the
+/// engine's only write API.
+///
+/// Every write runs one pipeline, split into two halves:
+///  - *stage*: WAL append, target location, Δ− (read off the document
+///    before it changes), the document update, val/cont cache
+///    invalidation, and Δ+ — each extracted once with the union of all
+///    views' payload needs (BatchedDeltaPlan). The result is queued.
+///  - *flush*: for each queued statement, every view's propagation pass —
+///    concurrently when set_workers(n > 1) — then the canonical relations
+///    roll forward. Once the queue is empty: fallback recomputes, the
+///    invariant audit, one snapshot publication, metrics.
+/// ApplyAndPropagateAll is stage + flush (immediate mode). Defer is stage
+/// only, and Flush drains the queue: the paper's §5 lazy mode, where
+/// propagation waits until the views are consulted.
 ///
 /// Parallel engine: each MaintainedView owns its content and lattice, and
 /// during the fan-out the document, store and Δ plan are frozen, so views
@@ -79,9 +90,10 @@ inline constexpr char kServingMetricsView[] = "__serving__";
 /// are safe from any number of concurrent reader threads while the
 /// coordinator runs, because they only touch the internally-synchronized
 /// SnapshotPublisher (view/snapshot.h) — an RCU-style slot the coordinator
-/// swaps after every applied statement. A reader holds an immutable
-/// generation-stamped ViewSnapshot for as long as it likes; it never
-/// observes a partially-applied statement and never blocks maintenance.
+/// swaps after every flush. A reader holds an immutable generation-stamped
+/// ViewSnapshot for as long as it likes; it never observes a
+/// partially-applied statement and never blocks maintenance. Reads never
+/// flush: deferred statements show up as snapshot staleness.
 class ViewManager {
  public:
   ViewManager(Document* doc, StoreIndex* store) : doc_(doc), store_(store) {}
@@ -105,7 +117,7 @@ class ViewManager {
   const MaintainedView* FindView(const std::string& name) const;
 
   /// Sets the propagation worker count (>= 1). The pool is (re)created
-  /// lazily on the next ApplyAndPropagateAll; 1 tears it down and runs the
+  /// lazily on the next flush; 1 tears it down and runs the
   /// serial inline path.
   void set_workers(size_t n);
   size_t workers() const { return workers_; }
@@ -117,14 +129,35 @@ class ViewManager {
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
   /// Applies the statement to the document and propagates it to every
-  /// registered view. Handles insert, delete and replace statements —
-  /// a replace PUL both deletes and inserts, so the Δ− pass runs first and
+  /// registered view (Defer + Flush: statements queued earlier are flushed
+  /// first, in order; if this statement fails, they stay queued). Handles insert, delete and replace statements — a
+  /// replace PUL both deletes and inserts, so the Δ− pass runs first and
   /// the Δ+ pass excludes R-side bindings under the replaced subtrees.
   ///
   /// With durability enabled the statement is appended to the WAL and
   /// fsynced *before* the document is touched, so a crash anywhere inside
   /// this call is recovered by replaying the statement.
   StatusOr<MultiUpdateOutcome> ApplyAndPropagateAll(const UpdateStmt& stmt);
+
+  /// Like ApplyAndPropagateAll for an already-expanded atomic-op sequence
+  /// (the §5 pipeline: compute-pul → optimization rules → propagate). Its Δ−
+  /// covers the sequence's plain delete targets. WAL records are
+  /// UpdateStmts, so this returns FailedPrecondition while durability is on.
+  StatusOr<MultiUpdateOutcome> ApplyOpsAndPropagateAll(const OpSequence& ops);
+
+  /// The stage half on its own: logs and applies the statement to the
+  /// document and queues its Δ plan; the views and the canonical relations
+  /// stay behind until Flush(). Snapshots are not republished, so readers
+  /// see the deferred statements as staleness.
+  Status Defer(const UpdateStmt& stmt);
+
+  /// Flush half: propagates every queued statement in order, then
+  /// publishes. Returns the accumulated outcome (shared_timing covers the
+  /// staging of every flushed statement). A no-op on an empty queue.
+  MultiUpdateOutcome Flush();
+
+  /// Statements staged by Defer and not yet flushed.
+  size_t pending() const { return queue_.size(); }
 
   /// -- Durability (view/persist.h + view/wal.h + common/file_io.h) --
   ///
@@ -141,7 +174,8 @@ class ViewManager {
   /// (or its absence) fully intact. After the manifest commits, the WAL (if
   /// enabled on the same directory) is truncated; a crash in between is
   /// handled by LSN-gated replay. Finishes by sweeping stale generations'
-  /// files. Callable with or without EnableDurability.
+  /// files. Callable with or without EnableDurability. Flushes first, so
+  /// the saved document and views reflect the same statements.
   Status Checkpoint(const std::string& dir);
 
   /// Restores state from `dir` and enables durability on it. Requires a
@@ -161,7 +195,7 @@ class ViewManager {
   ///
   /// Current published snapshot of view `i` (registration index); nullptr
   /// before the view was registered+published. Thread-safe: callable from
-  /// any reader thread concurrently with ApplyAndPropagateAll.
+  /// any reader thread concurrently with the write path.
   ViewSnapshotPtr Snapshot(size_t i) const { return publisher_.AcquireView(i); }
 
   /// Cut-consistent snapshot across all views: every entry reflects the
@@ -172,6 +206,21 @@ class ViewManager {
   ServingStats serving_stats() const { return publisher_.stats(); }
 
  private:
+  /// One staged statement: its frozen Δ plan and the nodes it added to and
+  /// removed from the document, for the store roll-forward.
+  struct Staged {
+    BatchedDeltaPlan plan;
+    std::vector<NodeHandle> inserted_nodes;
+    std::vector<NodeHandle> deleted_nodes;
+  };
+
+  /// Checks, initializes and publishes a new view (both AddView overloads).
+  StatusOr<size_t> Register(std::unique_ptr<MaintainedView> view);
+  /// Shared tail of the stage half (Defer, ApplyOpsAndPropagateAll): Δ−
+  /// from `pul`'s deletes, the document update (`pul`, or `ops` when
+  /// non-null), cache invalidation, Δ+; queues the entry.
+  void StagePul(const Pul& pul, const OpSequence* ops);
+  bool durable() const { return wal_ != nullptr && wal_->is_open(); }
   /// Runs fn(0..n-1) over the views, on the pool when workers_ > 1.
   void RunPerView(const std::function<void(size_t)>& fn);
   void RecordMetrics(const MultiUpdateOutcome& out);
@@ -180,9 +229,9 @@ class ViewManager {
   /// into the publisher; records serving metrics when a registry is set.
   void PublishSnapshots();
   /// Debug-mode invariant audit (common/invariant.h): when enabled, checks
-  /// the storage layer and sampled view contents after each statement and
+  /// the storage layer and sampled view contents after each flush and
   /// aborts with diagnostics on any violation.
-  void MaybeAuditAfterStatement();
+  void MaybeAuditAfterFlush();
 
   Document* doc_;
   StoreIndex* store_;
@@ -190,7 +239,12 @@ class ViewManager {
   size_t workers_ = 1;
   std::unique_ptr<ThreadPool> pool_;  // lazily created when workers_ > 1
   MetricsRegistry* metrics_ = nullptr;
-  uint64_t audit_seq_ = 0;  // statements audited (rotates view sampling)
+  uint64_t audit_seq_ = 0;  // flushes audited (rotates view sampling)
+
+  /// Staged statements awaiting the flush half, oldest first, and the
+  /// document-side outcome (shared timing, node counts) of their staging.
+  std::deque<Staged> queue_;
+  MultiUpdateOutcome staged_;
 
   /// Durability state (externally synchronized like the rest).
   std::string dur_dir_;                 // empty = durability disabled

@@ -52,8 +52,8 @@ class ViewSnapshot {
   const std::string& view_name() const { return view_name_; }
   const Schema& schema() const { return schema_; }
   const std::vector<int>& id_cols() const { return id_cols_; }
-  /// Statement generation (ViewManager LSN / DeferredView sequence) whose
-  /// application this snapshot reflects.
+  /// Statement generation (ViewManager LSN) up to which this snapshot
+  /// reflects the applied statements.
   uint64_t generation() const { return generation_; }
   /// Mutation version of the MaterializedView this was built from.
   uint64_t source_version() const { return source_version_; }

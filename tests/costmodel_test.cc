@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pattern/compile.h"
-#include "view/maintain.h"
+#include "view/manager.h"
 #include "xmark/generator.h"
 #include "xmark/updates.h"
 #include "xmark/views.h"
@@ -199,12 +199,13 @@ TEST(CostModelIntegrationTest, ChosenSnowcapsMaintainCorrectly) {
   auto chosen = ChooseSnowcaps(def->pattern(), store, profile, 4);
   ASSERT_FALSE(chosen.empty());
 
-  MaintainedView mv(*def, &store, chosen);
-  mv.Initialize();
+  ViewManager mgr(&doc, &store);
+  ASSERT_TRUE(mgr.AddView(*def, chosen).ok());
+  const MaintainedView& mv = mgr.view(0);
   auto u = FindXMarkUpdate("X1_L");
   ASSERT_TRUE(u.ok());
-  ASSERT_TRUE(mv.ApplyAndPropagate(&doc, MakeInsertStmt(*u)).ok());
-  ASSERT_TRUE(mv.ApplyAndPropagate(&doc, MakeDeleteStmt(*u)).ok());
+  ASSERT_TRUE(mgr.ApplyAndPropagateAll(MakeInsertStmt(*u)).ok());
+  ASSERT_TRUE(mgr.ApplyAndPropagateAll(MakeDeleteStmt(*u)).ok());
 
   const TreePattern& pat = def->pattern();
   auto truth = EvalViewWithCounts(pat, StoreLeafSource(&store, &pat));
@@ -231,19 +232,21 @@ TEST(MaintainOptionsTest, DisabledPruningStillCorrect) {
   store.Build();
   auto def = XMarkView("Q2");
   ASSERT_TRUE(def.ok());
-  MaintainedView mv(*def, &store, LatticeStrategy::kSnowcaps);
+  ViewManager mgr(&doc, &store);
+  ASSERT_TRUE(mgr.AddView(*def, LatticeStrategy::kSnowcaps).ok());
   MaintainOptions opts;
   opts.prune_empty_delta = false;
   opts.prune_anchor_paths = false;
-  mv.set_options(opts);
-  mv.Initialize();
+  mgr.mutable_view(0).set_options(opts);
+  const MaintainedView& mv = mgr.view(0);
   auto u = FindXMarkUpdate("X2_L");
   ASSERT_TRUE(u.ok());
-  auto out = mv.ApplyAndPropagate(&doc, MakeInsertStmt(*u));
+  auto out = mgr.ApplyAndPropagateAll(MakeInsertStmt(*u));
   ASSERT_TRUE(out.ok());
   // Without pruning, every update-independent term gets evaluated.
-  EXPECT_EQ(out->stats.terms_pruned_data, 0u);
-  EXPECT_EQ(out->stats.terms_evaluated, out->stats.terms_considered);
+  const MaintenanceStats& stats = out->per_view[0].stats;
+  EXPECT_EQ(stats.terms_pruned_data, 0u);
+  EXPECT_EQ(stats.terms_evaluated, stats.terms_considered);
 
   const TreePattern& pat = def->pattern();
   auto truth = EvalViewWithCounts(pat, StoreLeafSource(&store, &pat));

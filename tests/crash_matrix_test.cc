@@ -28,6 +28,10 @@ namespace {
 /// cut). The parent recovers from the survivor files and requires the result
 /// to be byte-identical to a control run of exactly the statements that had
 /// durably begun, and internally consistent with a from-scratch recompute.
+/// The deferred variant stages every statement with Defer, so at a crash the
+/// statements since the last checkpoint are WAL-logged but not flushed, and
+/// each checkpoint starts with a non-empty queue; its controls still run in
+/// immediate mode.
 
 constexpr uint64_t kSeed = 47;
 constexpr size_t kDocBytes = 30 * 1024;
@@ -45,10 +49,10 @@ std::vector<Step> Workload() {
   return {
       {false, "X1_L", true},
       {false, "X2_L", true},
-      {true},
+      {true, "", true},
       {false, "A7_O", true},
       {false, "A6_A", false},
-      {true},
+      {true, "", true},
   };
 }
 
@@ -174,14 +178,18 @@ void ExpectSelfConsistent(const Fixture& f) {
   }
 }
 
-/// Runs the full durable workload against `dir`. Returns 0 on completion;
-/// an armed crash point exits with fault::kCrashExitCode before returning.
-int RunDurableWorkload(const std::string& dir) {
+/// Runs the full durable workload against `dir`, deferring every statement
+/// to the next checkpoint when `defer`. Returns 0 on completion; an armed
+/// crash point exits with fault::kCrashExitCode before returning.
+int RunDurableWorkload(const std::string& dir, bool defer = false) {
   Fixture f = MakeInitial();
   if (!f.mgr->EnableDurability(dir).ok()) return 90;
   for (const Step& s : Workload()) {
     if (s.checkpoint) {
+      if (defer && f.mgr->pending() == 0) return 93;
       if (!f.mgr->Checkpoint(dir).ok()) return 91;
+    } else if (defer) {
+      if (!f.mgr->Defer(StepStmt(s)).ok()) return 92;
     } else {
       auto out = f.mgr->ApplyAndPropagateAll(StepStmt(s));
       if (!out.ok()) return 92;
@@ -236,7 +244,9 @@ TEST(DurabilityTest, DoubleRecoverIsIdempotent) {
       if (s.checkpoint) {
         // Keep only the mid-stream checkpoint: the statements after it stay
         // in the WAL, so recovery exercises checkpoint + replay together.
-        if (applied == 2) ASSERT_TRUE(f.mgr->Checkpoint(dir).ok());
+        if (applied == 2) {
+          ASSERT_TRUE(f.mgr->Checkpoint(dir).ok());
+        }
         continue;
       }
       ASSERT_TRUE(f.mgr->ApplyAndPropagateAll(StepStmt(s)).ok());
@@ -317,7 +327,7 @@ TEST(DurabilityTest, EnableDurabilityRefusesUnloadedCheckpoint) {
   WipeDir(dir);
 }
 
-TEST(CrashMatrixTest, RecoveryFromEveryInjectionPoint) {
+void RunCrashMatrix(bool defer) {
   // Ground truth for every possible durable prefix.
   std::vector<ControlState> controls;
   for (size_t n = 0; n <= StatementCount(); ++n) {
@@ -325,10 +335,11 @@ TEST(CrashMatrixTest, RecoveryFromEveryInjectionPoint) {
   }
 
   // Trace pass: enumerate every fault-point execution of the workload.
-  const std::string trace_dir = TempPath("crash_trace");
+  const std::string prefix = defer ? "crash_defer_" : "crash_";
+  const std::string trace_dir = TempPath(prefix + "trace");
   WipeDir(trace_dir);
   fault::StartTrace();
-  ASSERT_EQ(RunDurableWorkload(trace_dir), 0);
+  ASSERT_EQ(RunDurableWorkload(trace_dir, defer), 0);
   std::vector<std::string> trace = fault::StopTrace();
   WipeDir(trace_dir);
   ASSERT_GT(trace.size(), 20u) << "fault points disappeared from the "
@@ -341,14 +352,14 @@ TEST(CrashMatrixTest, RecoveryFromEveryInjectionPoint) {
     const std::string& point = trace[t];
     const int ordinal = ++occurrence[point];
     SCOPED_TRACE(point + " occurrence " + std::to_string(ordinal));
-    const std::string dir = TempPath("crash_" + std::to_string(t));
+    const std::string dir = TempPath(prefix + std::to_string(t));
     WipeDir(dir);
 
     pid_t pid = fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
       fault::Arm(point, ordinal, fault::Mode::kCrash);
-      ::_exit(RunDurableWorkload(dir));
+      ::_exit(RunDurableWorkload(dir, defer));
     }
     int wstatus = 0;
     ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
@@ -367,6 +378,14 @@ TEST(CrashMatrixTest, RecoveryFromEveryInjectionPoint) {
     // checksum-valid-but-older reasons — verified above by equality).
     WipeDir(dir);
   }
+}
+
+TEST(CrashMatrixTest, RecoveryFromEveryInjectionPoint) {
+  RunCrashMatrix(/*defer=*/false);
+}
+
+TEST(CrashMatrixTest, RecoveryFromEveryInjectionPointWithDeferredStatements) {
+  RunCrashMatrix(/*defer=*/true);
 }
 
 }  // namespace

@@ -1,4 +1,7 @@
-#include "view/deferred.h"
+// Deferred (lazy) maintenance, paper §5: ViewManager::Defer applies each
+// statement to the document and queues its Δ plan; the views and the
+// canonical relations advance only at Flush().
+#include "view/manager.h"
 
 #include <gtest/gtest.h>
 
@@ -14,7 +17,7 @@ namespace {
 struct Fixture {
   std::unique_ptr<Document> doc;
   std::unique_ptr<StoreIndex> store;
-  std::unique_ptr<DeferredView> view;
+  std::unique_ptr<ViewManager> mgr;
 };
 
 Fixture MakeXMarkFixture(const std::string& view_name, uint64_t seed = 29) {
@@ -25,34 +28,62 @@ Fixture MakeXMarkFixture(const std::string& view_name, uint64_t seed = 29) {
   f.store->Build();
   auto def = XMarkView(view_name);
   XVM_CHECK(def.ok());
-  f.view = std::make_unique<DeferredView>(std::move(def).value(), f.doc.get(),
-                                          f.store.get(),
-                                          LatticeStrategy::kSnowcaps);
-  f.view->Initialize();
+  f.mgr = std::make_unique<ViewManager>(f.doc.get(), f.store.get());
+  XVM_CHECK(
+      f.mgr->AddView(std::move(def).value(), LatticeStrategy::kSnowcaps).ok());
   return f;
 }
 
-void ExpectUpToDate(Fixture* f) {
-  ViewSnapshotPtr got_view = f->view->Read();
-  const TreePattern& pat = f->view->def().pattern();
-  auto truth = EvalViewWithCounts(pat, StoreLeafSource(f->store.get(), &pat));
-  const auto& got = got_view->tuples();
+/// Consults view 0 the way a lazy reader does: flush, then snapshot.
+ViewSnapshotPtr Read(ViewManager* mgr) {
+  mgr->Flush();
+  return mgr->Snapshot(0);
+}
+
+void ExpectMatchesRecompute(const ViewSnapshot& got, const ViewManager& mgr,
+                            const StoreIndex& store) {
+  const TreePattern& pat = mgr.view(0).def().pattern();
+  auto truth = EvalViewWithCounts(pat, StoreLeafSource(&store, &pat));
   ASSERT_EQ(got.size(), truth.size());
   for (size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_EQ(got[i].tuple, truth[i].tuple);
-    EXPECT_EQ(got[i].count, truth[i].count);
+    EXPECT_EQ(got.tuples()[i].tuple, truth[i].tuple);
+    EXPECT_EQ(got.tuples()[i].count, truth[i].count);
   }
 }
 
+void ExpectUpToDate(Fixture* f) {
+  ExpectMatchesRecompute(*Read(f->mgr.get()), *f->mgr, *f->store);
+}
+
+/// A view over a small parsed document, registered with a fresh manager.
+struct SmallFixture {
+  SmallFixture(const std::string& xml, const std::string& view_dsl)
+      : store(&doc), mgr(&doc, &store) {
+    XVM_CHECK(ParseDocument(xml, &doc).ok());
+    store.Build();
+    auto def = ViewDefinition::Create("v", view_dsl);
+    XVM_CHECK(def.ok());
+    XVM_CHECK(
+        mgr.AddView(std::move(def).value(), LatticeStrategy::kSnowcaps).ok());
+  }
+  Document doc;
+  StoreIndex store;
+  ViewManager mgr;
+};
+
 TEST(DeferredViewTest, PropagationWaitsUntilRead) {
   Fixture f = MakeXMarkFixture("Q1");
+  ViewSnapshotPtr before = f.mgr->Snapshot(0);
   auto u = FindXMarkUpdate("X1_L");
   ASSERT_TRUE(u.ok());
-  ASSERT_TRUE(f.view->Apply(MakeInsertStmt(*u)).ok());
-  ASSERT_TRUE(f.view->Apply(MakeInsertStmt(*u)).ok());
-  EXPECT_EQ(f.view->pending(), 2u);
+  ASSERT_TRUE(f.mgr->Defer(MakeInsertStmt(*u)).ok());
+  ASSERT_TRUE(f.mgr->Defer(MakeInsertStmt(*u)).ok());
+  EXPECT_EQ(f.mgr->pending(), 2u);
+  // Readers never flush: they keep seeing the pre-statement snapshot.
+  EXPECT_EQ(f.mgr->Snapshot(0), before);
   ExpectUpToDate(&f);
-  EXPECT_EQ(f.view->pending(), 0u);
+  EXPECT_EQ(f.mgr->pending(), 0u);
+  EXPECT_EQ(f.mgr->Snapshot(0)->generation(), f.mgr->last_sequence());
 }
 
 TEST(DeferredViewTest, MixedInsertDeleteSequence) {
@@ -60,29 +91,20 @@ TEST(DeferredViewTest, MixedInsertDeleteSequence) {
   auto ins = FindXMarkUpdate("X2_L");
   auto del = FindXMarkUpdate("X3_A");
   ASSERT_TRUE(ins.ok() && del.ok());
-  ASSERT_TRUE(f.view->Apply(MakeInsertStmt(*ins)).ok());
-  ASSERT_TRUE(f.view->Apply(MakeDeleteStmt(*del)).ok());
-  ASSERT_TRUE(f.view->Apply(MakeInsertStmt(*ins)).ok());
-  EXPECT_EQ(f.view->pending(), 3u);
+  ASSERT_TRUE(f.mgr->Defer(MakeInsertStmt(*ins)).ok());
+  ASSERT_TRUE(f.mgr->Defer(MakeDeleteStmt(*del)).ok());
+  ASSERT_TRUE(f.mgr->Defer(MakeInsertStmt(*ins)).ok());
+  EXPECT_EQ(f.mgr->pending(), 3u);
   ExpectUpToDate(&f);
 }
 
 TEST(DeferredViewTest, LaterUpdateBuildsOnEarlierOne) {
   // The second statement inserts under nodes created by the first; the
   // flush must roll the store forward between propagations to see them.
-  Document doc;
-  ASSERT_TRUE(ParseDocument("<r><a/></r>", &doc).ok());
-  StoreIndex store(&doc);
-  store.Build();
-  auto def = ViewDefinition::Create("v", "//a{id}(//b{id}(//c{id}))");
-  ASSERT_TRUE(def.ok());
-  DeferredView view(std::move(def).value(), &doc, &store,
-                    LatticeStrategy::kSnowcaps);
-  view.Initialize();
-
-  ASSERT_TRUE(view.Apply(UpdateStmt::InsertForest("//a", "<b/>")).ok());
-  ASSERT_TRUE(view.Apply(UpdateStmt::InsertForest("//a/b", "<c/>")).ok());
-  ViewSnapshotPtr content = view.Read();
+  SmallFixture f("<r><a/></r>", "//a{id}(//b{id}(//c{id}))");
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::InsertForest("//a", "<b/>")).ok());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::InsertForest("//a/b", "<c/>")).ok());
+  ViewSnapshotPtr content = Read(&f.mgr);
   EXPECT_EQ(content->size(), 1u);  // the (a, new b, new c) embedding
 }
 
@@ -91,10 +113,10 @@ TEST(DeferredViewTest, InterleavedReadsStayConsistent) {
   auto u1 = FindXMarkUpdate("A6_A");
   auto u2 = FindXMarkUpdate("A7_O");
   ASSERT_TRUE(u1.ok() && u2.ok());
-  ASSERT_TRUE(f.view->Apply(MakeInsertStmt(*u1)).ok());
+  ASSERT_TRUE(f.mgr->Defer(MakeInsertStmt(*u1)).ok());
   ExpectUpToDate(&f);
-  ASSERT_TRUE(f.view->Apply(MakeDeleteStmt(*u2)).ok());
-  ASSERT_TRUE(f.view->Apply(MakeInsertStmt(*u1)).ok());
+  ASSERT_TRUE(f.mgr->Defer(MakeDeleteStmt(*u2)).ok());
+  ASSERT_TRUE(f.mgr->Defer(MakeInsertStmt(*u1)).ok());
   ExpectUpToDate(&f);
   ExpectUpToDate(&f);  // idempotent when nothing is pending
 }
@@ -106,33 +128,22 @@ TEST(DeferredViewTest, InterleavedReadsStayConsistent) {
 /// missed the embedding — and k's Δ−-only removal term then over-removed,
 /// deleting a tuple whose remaining derivation was still alive.
 TEST(DeferredViewTest, InsertThenDeleteWithinOneBatch) {
-  Document doc;
   // A1 already has a full B0/C0 chain: the view tuple for A1 starts with
   // one derivation that must survive the whole batch.
-  ASSERT_TRUE(ParseDocument("<r><a><b><c/></b></a></r>", &doc).ok());
-  StoreIndex store(&doc);
-  store.Build();
-  auto def = ViewDefinition::Create("v", "//a{id}(//b(//c))");
-  ASSERT_TRUE(def.ok());
-  DeferredView view(std::move(def).value(), &doc, &store,
-                    LatticeStrategy::kSnowcaps);
-  view.Initialize();
+  SmallFixture f("<r><a><b><c/></b></a></r>", "//a{id}(//b(//c))");
 
   // j: insert B1 under A1; j+1: insert C1 under B1 (its term needs B1 as an
   // R row); k: delete B1's subtree again.
-  ASSERT_TRUE(view.Apply(UpdateStmt::InsertForest("//a", "<b id=\"n\"/>")).ok());
-  ASSERT_TRUE(view.Apply(UpdateStmt::InsertForest("//a/b[@id]", "<c/>")).ok());
-  ASSERT_TRUE(view.Apply(UpdateStmt::Delete("//a/b[@id]")).ok());
-  EXPECT_EQ(view.pending(), 3u);
+  ASSERT_TRUE(
+      f.mgr.Defer(UpdateStmt::InsertForest("//a", "<b id=\"n\"/>")).ok());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::InsertForest("//a/b[@id]", "<c/>")).ok());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::Delete("//a/b[@id]")).ok());
+  EXPECT_EQ(f.mgr.pending(), 3u);
 
-  ViewSnapshotPtr got = view.Read();
-  const TreePattern& pat = view.def().pattern();
-  auto truth = EvalViewWithCounts(pat, StoreLeafSource(&store, &pat));
-  ASSERT_EQ(got->size(), truth.size());
-  for (size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_EQ(got->tuples()[i].tuple, truth[i].tuple);
-    EXPECT_EQ(got->tuples()[i].count, truth[i].count);
-  }
+  ViewSnapshotPtr got = Read(&f.mgr);
+  ExpectMatchesRecompute(*got, f.mgr, f.store);
+  const TreePattern& pat = f.mgr.view(0).def().pattern();
+  auto truth = EvalViewWithCounts(pat, StoreLeafSource(&f.store, &pat));
   // The A1 tuple specifically must still be present with its base count.
   ASSERT_EQ(truth.size(), 1u);
   EXPECT_EQ(truth[0].count, 1);
@@ -142,30 +153,19 @@ TEST(DeferredViewTest, InsertThenDeleteWithinOneBatch) {
 /// match the immediate mode (one embedding through the reinserted chain
 /// plus the original one).
 TEST(DeferredViewTest, InsertDeleteReinsertWithinOneBatch) {
-  Document doc;
-  ASSERT_TRUE(ParseDocument("<r><a><b><c/></b></a></r>", &doc).ok());
-  StoreIndex store(&doc);
-  store.Build();
-  auto def = ViewDefinition::Create("v", "//a{id}(//b(//c))");
-  ASSERT_TRUE(def.ok());
-  DeferredView view(std::move(def).value(), &doc, &store,
-                    LatticeStrategy::kSnowcaps);
-  view.Initialize();
+  SmallFixture f("<r><a><b><c/></b></a></r>", "//a{id}(//b(//c))");
 
-  ASSERT_TRUE(view.Apply(UpdateStmt::InsertForest("//a", "<b id=\"n\"/>")).ok());
-  ASSERT_TRUE(view.Apply(UpdateStmt::InsertForest("//a/b[@id]", "<c/>")).ok());
-  ASSERT_TRUE(view.Apply(UpdateStmt::Delete("//a/b[@id]")).ok());
-  ASSERT_TRUE(view.Apply(UpdateStmt::InsertForest("//a", "<b><c/></b>")).ok());
-  EXPECT_EQ(view.pending(), 4u);
+  ASSERT_TRUE(
+      f.mgr.Defer(UpdateStmt::InsertForest("//a", "<b id=\"n\"/>")).ok());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::InsertForest("//a/b[@id]", "<c/>")).ok());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::Delete("//a/b[@id]")).ok());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::InsertForest("//a", "<b><c/></b>")).ok());
+  EXPECT_EQ(f.mgr.pending(), 4u);
 
-  ViewSnapshotPtr got = view.Read();
-  const TreePattern& pat = view.def().pattern();
-  auto truth = EvalViewWithCounts(pat, StoreLeafSource(&store, &pat));
-  ASSERT_EQ(got->size(), truth.size());
-  for (size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_EQ(got->tuples()[i].tuple, truth[i].tuple);
-    EXPECT_EQ(got->tuples()[i].count, truth[i].count);
-  }
+  ViewSnapshotPtr got = Read(&f.mgr);
+  ExpectMatchesRecompute(*got, f.mgr, f.store);
+  const TreePattern& pat = f.mgr.view(0).def().pattern();
+  auto truth = EvalViewWithCounts(pat, StoreLeafSource(&f.store, &pat));
   ASSERT_EQ(truth.size(), 1u);
   EXPECT_EQ(truth[0].count, 2);  // original chain + reinserted chain
 }
@@ -174,48 +174,45 @@ TEST(DeferredViewTest, InsertDeleteReinsertWithinOneBatch) {
 /// relations must hold live nodes only (the transient dead registrations
 /// are taken out by the deleting statement's own roll-forward).
 TEST(DeferredViewTest, RelationsAllAliveAfterMixedBatchFlush) {
-  Document doc;
-  ASSERT_TRUE(ParseDocument("<r><a><b><c/></b></a></r>", &doc).ok());
-  StoreIndex store(&doc);
-  store.Build();
-  auto def = ViewDefinition::Create("v", "//a{id}(//b(//c))");
-  ASSERT_TRUE(def.ok());
-  DeferredView view(std::move(def).value(), &doc, &store,
-                    LatticeStrategy::kSnowcaps);
-  view.Initialize();
-  ASSERT_TRUE(view.Apply(UpdateStmt::InsertForest("//a", "<b id=\"n\"/>")).ok());
-  ASSERT_TRUE(view.Apply(UpdateStmt::InsertForest("//a/b[@id]", "<c/>")).ok());
-  ASSERT_TRUE(view.Apply(UpdateStmt::Delete("//a/b[@id]")).ok());
-  view.Flush();
+  SmallFixture f("<r><a><b><c/></b></a></r>", "//a{id}(//b(//c))");
+  ASSERT_TRUE(
+      f.mgr.Defer(UpdateStmt::InsertForest("//a", "<b id=\"n\"/>")).ok());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::InsertForest("//a/b[@id]", "<c/>")).ok());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::Delete("//a/b[@id]")).ok());
+  f.mgr.Flush();
   for (const std::string& name : {std::string("a"), std::string("b"),
                                   std::string("c")}) {
-    LabelId label = doc.dict().Lookup(name);
+    LabelId label = f.doc.dict().Lookup(name);
     ASSERT_NE(label, kInvalidLabel);
-    for (NodeHandle h : store.Relation(label).nodes()) {
-      EXPECT_TRUE(doc.IsAlive(h)) << "dead node left in R_" << name;
+    for (NodeHandle h : f.store.Relation(label).nodes()) {
+      EXPECT_TRUE(f.doc.IsAlive(h)) << "dead node left in R_" << name;
     }
   }
 }
 
 TEST(DeferredViewTest, FallbackRecomputesAtFlush) {
-  Document doc;
-  ASSERT_TRUE(
-      ParseDocument("<r><a>5<b/><t>x</t></a><a>5<b/></a></r>", &doc).ok());
-  StoreIndex store(&doc);
-  store.Build();
-  auto def = ViewDefinition::Create("v", "//a{id}[val=\"5\"](//b{id})");
-  ASSERT_TRUE(def.ok());
-  DeferredView view(std::move(def).value(), &doc, &store,
-                    LatticeStrategy::kSnowcaps);
-  view.Initialize();
+  SmallFixture f("<r><a>5<b/><t>x</t></a><a>5<b/></a></r>",
+                 "//a{id}[val=\"5\"](//b{id})");
   // Deleting <t>x</t> flips the first <a>'s predicate from false to true —
   // the guard forces a recompute, deferred until the read.
-  ASSERT_TRUE(view.Apply(UpdateStmt::Delete("//a/t")).ok());
-  ASSERT_TRUE(view.Apply(UpdateStmt::InsertForest("//a", "<b/>")).ok());
-  ViewSnapshotPtr content = view.Read();
-  const TreePattern& pat = view.def().pattern();
-  auto truth = EvalViewWithCounts(pat, StoreLeafSource(&store, &pat));
-  EXPECT_EQ(content->size(), truth.size());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::Delete("//a/t")).ok());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::InsertForest("//a", "<b/>")).ok());
+  MultiUpdateOutcome out = f.mgr.Flush();
+  EXPECT_TRUE(out.per_view[0].stats.recompute_fallback);
+  ExpectMatchesRecompute(*f.mgr.Snapshot(0), f.mgr, f.store);
+}
+
+/// A replace statement carries both Δ− and Δ+; deferring it queues one
+/// entry with both halves, and the flush matches the immediate mode.
+TEST(DeferredViewTest, ReplaceIsDeferredLikeAnyStatement) {
+  SmallFixture f("<r><a><b>1</b><c/></a><a><b>2</b></a></r>",
+                 "//a{id}(//b{id,val})");
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::ReplaceContent("//a/b", "9")).ok());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::InsertForest("//a[c]", "<b>3</b>")).ok());
+  EXPECT_EQ(f.mgr.pending(), 2u);
+  ViewSnapshotPtr got = Read(&f.mgr);
+  ExpectMatchesRecompute(*got, f.mgr, f.store);
+  EXPECT_EQ(got->size(), 3u);
 }
 
 }  // namespace

@@ -642,8 +642,9 @@ TEST_P(ExecFuzzTest, ExecutorEqualsSymexecEqualsRecomputeUnderRandomStream) {
   ASSERT_TRUE(def.ok()) << def.status().ToString();
   LatticeStrategy strategy = rng.Chance(1, 2) ? LatticeStrategy::kSnowcaps
                                               : LatticeStrategy::kLeaves;
-  MaintainedView mv(*def, &store, strategy);
-  mv.Initialize();
+  ViewManager mgr(&doc, &store);
+  ASSERT_TRUE(mgr.AddView(*def, strategy).ok());
+  const MaintainedView& mv = mgr.view(0);
 
   for (int step = 0; step < 10; ++step) {
     if (doc.root() == kNullNode) break;
@@ -651,7 +652,7 @@ TEST_P(ExecFuzzTest, ExecutorEqualsSymexecEqualsRecomputeUnderRandomStream) {
     while (doc.num_alive() > 900 && stmt.kind != UpdateStmt::Kind::kDelete) {
       stmt = RandomStatement(&rng);
     }
-    auto out = mv.ApplyAndPropagate(&doc, stmt);
+    auto out = mgr.ApplyAndPropagateAll(stmt);
     ASSERT_TRUE(out.ok()) << out.status().ToString() << " step " << step;
 
     // The maintained content (incrementally updated through the executor's

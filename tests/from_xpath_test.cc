@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pattern/compile.h"
-#include "view/maintain.h"
+#include "view/manager.h"
 #include "xml/parser.h"
 #include "xpath/xpath_eval.h"
 
@@ -138,12 +138,13 @@ TEST(FromXPathTest, TranslatedViewIsMaintainable) {
   ASSERT_TRUE(pattern.ok());
   auto def = ViewDefinition::FromPattern("xp", std::move(pattern).value());
   ASSERT_TRUE(def.ok()) << def.status().ToString();
-  MaintainedView mv(std::move(def).value(), &store,
-                    LatticeStrategy::kSnowcaps);
-  mv.Initialize();
+  ViewManager mgr(&doc, &store);
+  ASSERT_TRUE(
+      mgr.AddView(std::move(def).value(), LatticeStrategy::kSnowcaps).ok());
+  const MaintainedView& mv = mgr.view(0);
   EXPECT_EQ(mv.view().size(), 1u);
-  auto out = mv.ApplyAndPropagate(
-      &doc, UpdateStmt::InsertForest("//a[c]", "<b>y</b>"));
+  auto out = mgr.ApplyAndPropagateAll(
+      UpdateStmt::InsertForest("//a[c]", "<b>y</b>"));
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(mv.view().size(), 2u);
 }

@@ -3,6 +3,7 @@
 // equal both the store-backed and the navigational from-scratch
 // evaluations, and the document/store invariants must hold.
 
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -42,15 +43,23 @@ void RandomDocument(Rng* rng, int n, Document* doc) {
 /// as its DSL text (so identical patterns can be instantiated in several
 /// engines). Patterns avoid value predicates so updates never trip the
 /// conservative recompute fallback (the fallback path has its own tests).
-std::string RandomPatternDsl(Rng* rng) {
-  std::string dsl = std::string("//") + kLabels[rng->Uniform(kNumLabels)] +
-                    "{id}";
+/// With `payloads`, nodes may also store val or cont, so updates beneath a
+/// stored node exercise PIMT/PDMT.
+std::string RandomPatternDsl(Rng* rng, bool payloads = false) {
+  auto annotation = [&] {
+    if (!payloads) return "{id}";
+    const size_t pick = rng->Uniform(3);
+    return pick == 0 ? "{id}" : pick == 1 ? "{id,val}" : "{id,cont}";
+  };
+  // Separate statements: operands of one + expression are unsequenced.
+  std::string dsl = std::string("//") + kLabels[rng->Uniform(kNumLabels)];
+  dsl += annotation();
   size_t extra = 1 + rng->Uniform(3);
   std::vector<std::string> branches;
   for (size_t i = 0; i < extra; ++i) {
     std::string edge = rng->Chance(1, 3) ? "/" : "//";
-    branches.push_back(edge + std::string(kLabels[rng->Uniform(kNumLabels)]) +
-                       "{id}");
+    edge += kLabels[rng->Uniform(kNumLabels)];
+    branches.push_back(edge + annotation());
   }
   // Half the time nest the branches, otherwise fan out.
   std::string child_text;
@@ -76,16 +85,8 @@ TreePattern RandomPattern(Rng* rng) {
   return std::move(p).value();
 }
 
-/// A random statement over the alphabet.
-UpdateStmt RandomStatement(Rng* rng) {
-  const char* target_label = kLabels[rng->Uniform(kNumLabels)];
-  std::string target = std::string("//") + target_label;
-  if (rng->Chance(1, 3)) {
-    // Narrow the target with an existence predicate.
-    target += std::string("[") + kLabels[rng->Uniform(kNumLabels)] + "]";
-  }
-  if (rng->Chance(2, 5)) return UpdateStmt::Delete(target);
-  // Insert a random forest of depth <= 2.
+/// A random forest of depth <= 2 over the alphabet.
+std::string RandomForest(Rng* rng) {
   std::string forest;
   size_t trees = 1 + rng->Uniform(2);
   for (size_t t = 0; t < trees; ++t) {
@@ -98,7 +99,23 @@ UpdateStmt RandomStatement(Rng* rng) {
     }
     forest += std::string("</") + l1 + ">";
   }
-  return UpdateStmt::InsertForest(target, forest);
+  return forest;
+}
+
+/// A random statement over the alphabet; with `replace`, a quarter of the
+/// non-delete statements replace their targets' content instead.
+UpdateStmt RandomStatement(Rng* rng, bool replace = false) {
+  const char* target_label = kLabels[rng->Uniform(kNumLabels)];
+  std::string target = std::string("//") + target_label;
+  if (rng->Chance(1, 3)) {
+    // Narrow the target with an existence predicate.
+    target += std::string("[") + kLabels[rng->Uniform(kNumLabels)] + "]";
+  }
+  if (rng->Chance(2, 5)) return UpdateStmt::Delete(target);
+  if (replace && rng->Chance(1, 4)) {
+    return UpdateStmt::ReplaceContent(target, RandomForest(rng));
+  }
+  return UpdateStmt::InsertForest(target, RandomForest(rng));
 }
 
 void ExpectStoreConsistent(const Document& doc, const StoreIndex& store) {
@@ -135,8 +152,9 @@ TEST_P(FuzzStreamTest, MaintainedEqualsRecomputedUnderRandomStream) {
   ASSERT_TRUE(def.ok()) << def.status().ToString();
   LatticeStrategy strategy = rng.Chance(1, 2) ? LatticeStrategy::kSnowcaps
                                               : LatticeStrategy::kLeaves;
-  MaintainedView mv(*def, &store, strategy);
-  mv.Initialize();
+  ViewManager mgr(&doc, &store);
+  ASSERT_TRUE(mgr.AddView(*def, strategy).ok());
+  const MaintainedView& mv = mgr.view(0);
 
   for (int step = 0; step < 12; ++step) {
     if (doc.root() == kNullNode) break;  // stream deleted the whole tree
@@ -148,7 +166,7 @@ TEST_P(FuzzStreamTest, MaintainedEqualsRecomputedUnderRandomStream) {
            stmt.kind != UpdateStmt::Kind::kDelete) {
       stmt = RandomStatement(&rng);
     }
-    auto out = mv.ApplyAndPropagate(&doc, stmt);
+    auto out = mgr.ApplyAndPropagateAll(stmt);
     ASSERT_TRUE(out.ok()) << out.status().ToString() << " step " << step;
 
     ExpectStoreConsistent(doc, store);
@@ -177,6 +195,36 @@ TEST_P(FuzzStreamTest, MaintainedEqualsRecomputedUnderRandomStream) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzStreamTest, ::testing::Range(1, 25));
 
+/// One ViewManager over a random document (seeded by `doc_seed`) with one
+/// view per pattern DSL; engines built from the same arguments are
+/// identical.
+struct Engine {
+  Engine(uint64_t doc_seed, size_t workers,
+         const std::vector<std::string>& dsls,
+         const std::vector<LatticeStrategy>& strategies)
+      : store(&doc) {
+    Rng doc_rng(doc_seed);
+    RandomDocument(&doc_rng, 120, &doc);
+    store.Build();
+    mgr = std::make_unique<ViewManager>(&doc, &store);
+    mgr->set_workers(workers);
+    for (size_t v = 0; v < dsls.size(); ++v) {
+      auto p = TreePattern::Parse(dsls[v]);
+      XVM_CHECK(p.ok());
+      auto def = ViewDefinition::FromPattern("v" + std::to_string(v),
+                                             std::move(p).value());
+      XVM_CHECK(def.ok());
+      // Meta-check: the static analyzer must accept every plan the
+      // compiler emits, for every fuzzed pattern/strategy combination.
+      auto idx = mgr->AddView(std::move(def).value(), strategies[v]);
+      XVM_CHECK(idx.ok());
+    }
+  }
+  Document doc;
+  StoreIndex store;
+  std::unique_ptr<ViewManager> mgr;
+};
+
 /// The same differential property, but through the multi-worker ViewManager:
 /// a parallel engine and a serial engine follow one random statement stream
 /// over identically-seeded documents and views; after every statement the
@@ -199,33 +247,6 @@ TEST_P(FuzzParallelManagerTest, ParallelEqualsSerialUnderRandomStream) {
     strategies.push_back(cfg_rng.Chance(1, 2) ? LatticeStrategy::kSnowcaps
                                               : LatticeStrategy::kLeaves);
   }
-
-  struct Engine {
-    Engine(uint64_t doc_seed, size_t workers,
-           const std::vector<std::string>& dsls,
-           const std::vector<LatticeStrategy>& strategies)
-        : store(&doc) {
-      Rng doc_rng(doc_seed);
-      RandomDocument(&doc_rng, 120, &doc);
-      store.Build();
-      mgr = std::make_unique<ViewManager>(&doc, &store);
-      mgr->set_workers(workers);
-      for (size_t v = 0; v < dsls.size(); ++v) {
-        auto p = TreePattern::Parse(dsls[v]);
-        XVM_CHECK(p.ok());
-        auto def = ViewDefinition::FromPattern("v" + std::to_string(v),
-                                               std::move(p).value());
-        XVM_CHECK(def.ok());
-        // Meta-check: the static analyzer must accept every plan the
-        // compiler emits, for every fuzzed pattern/strategy combination.
-        auto idx = mgr->AddView(std::move(def).value(), strategies[v]);
-        XVM_CHECK(idx.ok());
-      }
-    }
-    Document doc;
-    StoreIndex store;
-    std::unique_ptr<ViewManager> mgr;
-  };
 
   Engine serial(seed, 1, pattern_dsls, strategies);
   Engine parallel(seed, 4, pattern_dsls, strategies);
@@ -270,6 +291,96 @@ TEST_P(FuzzParallelManagerTest, ParallelEqualsSerialUnderRandomStream) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzParallelManagerTest,
                          ::testing::Range(1, 13));
+
+void ExpectSameSnapshots(const SnapshotSet& got, const SnapshotSet& want,
+                         const std::string& context) {
+  ASSERT_EQ(got.views.size(), want.views.size()) << context;
+  for (size_t v = 0; v < want.views.size(); ++v) {
+    const auto& g = got.views[v]->tuples();
+    const auto& w = want.views[v]->tuples();
+    ASSERT_EQ(g.size(), w.size()) << "view " << v << " " << context;
+    for (size_t t = 0; t < w.size(); ++t) {
+      ASSERT_EQ(g[t].tuple, w[t].tuple) << "view " << v << " " << context;
+      ASSERT_EQ(g[t].count, w[t].count) << "view " << v << " " << context;
+    }
+  }
+}
+
+/// Deferred (§5 lazy) vs immediate maintenance: two identical managers with
+/// three views (some storing val/cont) follow one random stream that
+/// includes replace statements. The immediate engine applies each statement
+/// at once; the deferred engine Defers it and Flushes at random points.
+/// After every flush the deferred snapshots must be bit-identical to the
+/// immediate ones and to a store-backed recompute; between flushes readers
+/// see the last flushed generation.
+class FuzzDeferredManagerTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FuzzDeferredManagerTest, DeferredEqualsImmediateUnderRandomStream) {
+  ScopedInvariantAuditing audit(true);
+  const uint64_t seed = static_cast<uint64_t>(GetParam()) * 2147483647 + 7;
+
+  Rng cfg_rng(seed);
+  std::vector<std::string> pattern_dsls;
+  std::vector<LatticeStrategy> strategies;
+  for (int v = 0; v < 3; ++v) {
+    pattern_dsls.push_back(RandomPatternDsl(&cfg_rng, /*payloads=*/true));
+    strategies.push_back(cfg_rng.Chance(1, 2) ? LatticeStrategy::kSnowcaps
+                                              : LatticeStrategy::kLeaves);
+  }
+  Engine immediate(seed, 1, pattern_dsls, strategies);
+  Engine deferred(seed, 1 + cfg_rng.Uniform(3), pattern_dsls, strategies);
+
+  Rng stream_rng(seed ^ 0x2545F4914F6CDD1DULL);
+  uint64_t flushed_seq = 0;
+  for (int step = 0; step < 14; ++step) {
+    if (immediate.doc.root() == kNullNode) break;
+    // Nested same-label patterns grow views polynomially in the document;
+    // past either bound only deletions keep the audited run fast.
+    size_t largest_view = 0;
+    for (size_t v = 0; v < immediate.mgr->size(); ++v) {
+      largest_view =
+          std::max(largest_view, immediate.mgr->view(v).view().size());
+    }
+    const bool shrink_only =
+        immediate.doc.num_alive() > 400 || largest_view > 1000;
+    UpdateStmt stmt = RandomStatement(&stream_rng, /*replace=*/true);
+    while (shrink_only && stmt.kind != UpdateStmt::Kind::kDelete) {
+      stmt = RandomStatement(&stream_rng, /*replace=*/true);
+    }
+    const std::string context = "step " + std::to_string(step);
+    auto io = immediate.mgr->ApplyAndPropagateAll(stmt);
+    ASSERT_TRUE(io.ok()) << io.status().ToString() << " " << context;
+    ASSERT_TRUE(deferred.mgr->Defer(stmt).ok()) << context;
+    ASSERT_EQ(SerializeDocument(deferred.doc), SerializeDocument(immediate.doc))
+        << context;
+    // Readers never flush: they still see the last flushed generation.
+    ASSERT_EQ(deferred.mgr->SnapshotAll()->generation, flushed_seq) << context;
+
+    const bool last = step == 13 || immediate.doc.root() == kNullNode;
+    if (!last && !stream_rng.Chance(1, 3)) continue;
+    deferred.mgr->Flush();
+    flushed_seq = deferred.mgr->last_sequence();
+    ASSERT_EQ(deferred.mgr->pending(), 0u) << context;
+    ExpectStoreConsistent(deferred.doc, deferred.store);
+    SnapshotSetPtr got = deferred.mgr->SnapshotAll();
+    ASSERT_EQ(got->generation, flushed_seq) << context;
+    ExpectSameSnapshots(*got, *immediate.mgr->SnapshotAll(), context);
+    for (size_t v = 0; v < deferred.mgr->size(); ++v) {
+      const TreePattern& pat = deferred.mgr->view(v).def().pattern();
+      auto truth =
+          EvalViewWithCounts(pat, StoreLeafSource(&deferred.store, &pat));
+      const auto& tuples = got->views[v]->tuples();
+      ASSERT_EQ(tuples.size(), truth.size()) << "view " << v << " " << context;
+      for (size_t t = 0; t < truth.size(); ++t) {
+        ASSERT_EQ(tuples[t].tuple, truth[t].tuple) << "view " << v;
+        ASSERT_EQ(tuples[t].count, truth[t].count) << "view " << v;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDeferredManagerTest,
+                         ::testing::Range(1, 17));
 
 /// Serialization survives random mutation streams (parse(serialize(d)) is
 /// structurally identical).

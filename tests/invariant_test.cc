@@ -163,30 +163,6 @@ TEST(InvariantAuditTest, RuntimeGateOverridesAndRestores) {
   EXPECT_EQ(InvariantAuditingEnabled(), initial);
 }
 
-TEST(InvariantAuditDeathTest, MaintainedViewAbortsOnCorruptStore) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  Workbench wb;
-  auto pattern = TreePattern::Parse("//a{id}");
-  ASSERT_TRUE(pattern.ok());
-  auto def = ViewDefinition::FromPattern("v", std::move(pattern).value());
-  ASSERT_TRUE(def.ok());
-  MaintainedView mv(std::move(def).value(), &wb.store,
-                    LatticeStrategy::kLeaves);
-  mv.Initialize();
-  auto* nodes = wb.store.MutableNodesForTesting(wb.Label("a"));
-  std::swap((*nodes)[0], (*nodes)[1]);
-  // Either auditor may catch the corruption first: the executor's
-  // leaf-contract check when term evaluation scans the relation, or the
-  // post-statement store audit.
-  EXPECT_DEATH(
-      {
-        ScopedInvariantAuditing on(true);
-        auto out = mv.ApplyAndPropagate(&wb.doc, UpdateStmt::Delete("//d[a]"));
-        (void)out;  // NOLINT(xvm-status): unreachable, the audit aborts
-      },
-      "store.document_order|exec.leaf_contract");
-}
-
 TEST(InvariantAuditDeathTest, ManagerAbortsOnCorruptStore) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   Workbench wb;

@@ -1,4 +1,4 @@
-#include "view/maintain.h"
+#include "view/manager.h"
 
 #include <gtest/gtest.h>
 
@@ -91,10 +91,11 @@ void RunScenario(const std::string& view_dsl, const std::string& doc_xml,
   store.Build();
   auto def = ViewDefinition::Create("v", view_dsl);
   ASSERT_TRUE(def.ok()) << def.status().ToString() << " " << context;
-  MaintainedView mv(std::move(def).value(), &store, strategy);
-  mv.Initialize();
+  ViewManager mgr(&doc, &store);
+  ASSERT_TRUE(mgr.AddView(std::move(def).value(), strategy).ok());
+  const MaintainedView& mv = mgr.view(0);
 
-  auto outcome = mv.ApplyAndPropagate(&doc, stmt);
+  auto outcome = mgr.ApplyAndPropagateAll(stmt);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString() << " " << context;
 
   auto def2 = ViewDefinition::Create("v", view_dsl);
@@ -160,17 +161,18 @@ TEST_P(HandCraftedMaintainTest, PaperExample48DerivationCounts) {
   auto def2 = ViewDefinition::Create("v2", "//a{id}(//b)");
   // Patterns must store something per node or not at all; b stores nothing.
   ASSERT_TRUE(def2.ok()) << def2.status().ToString();
-  MaintainedView mv(std::move(def2).value(), &store, GetParam());
-  mv.Initialize();
+  ViewManager mgr(&doc, &store);
+  ASSERT_TRUE(mgr.AddView(std::move(def2).value(), GetParam()).ok());
+  const MaintainedView& mv = mgr.view(0);
   ASSERT_EQ(mv.view().size(), 1u);
   EXPECT_EQ(mv.view().total_derivations(), 2);
 
-  auto out1 = mv.ApplyAndPropagate(&doc, UpdateStmt::Delete("//c/b"));
+  auto out1 = mgr.ApplyAndPropagateAll(UpdateStmt::Delete("//c/b"));
   ASSERT_TRUE(out1.ok());
   EXPECT_EQ(mv.view().size(), 1u);
   EXPECT_EQ(mv.view().total_derivations(), 1);
 
-  auto out2 = mv.ApplyAndPropagate(&doc, UpdateStmt::Delete("//f/b"));
+  auto out2 = mgr.ApplyAndPropagateAll(UpdateStmt::Delete("//f/b"));
   ASSERT_TRUE(out2.ok());
   EXPECT_EQ(mv.view().size(), 0u);
 }
@@ -250,14 +252,15 @@ TEST_P(XMarkMaintainTest, MatchesRecomputation) {
 
   auto def = XMarkView(c.view);
   ASSERT_TRUE(def.ok()) << def.status().ToString();
-  MaintainedView mv(std::move(def).value(), &store, c.strategy);
-  mv.Initialize();
+  ViewManager mgr(&doc, &store);
+  ASSERT_TRUE(mgr.AddView(std::move(def).value(), c.strategy).ok());
+  const MaintainedView& mv = mgr.view(0);
 
   auto u = FindXMarkUpdate(c.update);
   ASSERT_TRUE(u.ok()) << u.status().ToString();
   UpdateStmt stmt = c.insert ? MakeInsertStmt(*u) : MakeDeleteStmt(*u);
 
-  auto outcome = mv.ApplyAndPropagate(&doc, stmt);
+  auto outcome = mgr.ApplyAndPropagateAll(stmt);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
 
   auto def2 = XMarkView(c.view);
@@ -289,17 +292,18 @@ TEST(MaintainSequenceTest, InsertThenDeleteThenInsert) {
   store.Build();
   auto def = XMarkView("Q1");
   ASSERT_TRUE(def.ok());
-  MaintainedView mv(std::move(def).value(), &store,
-                    LatticeStrategy::kSnowcaps);
-  mv.Initialize();
+  ViewManager mgr(&doc, &store);
+  ASSERT_TRUE(
+      mgr.AddView(std::move(def).value(), LatticeStrategy::kSnowcaps).ok());
+  const MaintainedView& mv = mgr.view(0);
 
   auto x1 = FindXMarkUpdate("X1_L");
   auto a6 = FindXMarkUpdate("A6_A");
   ASSERT_TRUE(x1.ok() && a6.ok());
 
-  ASSERT_TRUE(mv.ApplyAndPropagate(&doc, MakeInsertStmt(*x1)).ok());
-  ASSERT_TRUE(mv.ApplyAndPropagate(&doc, MakeDeleteStmt(*a6)).ok());
-  ASSERT_TRUE(mv.ApplyAndPropagate(&doc, MakeInsertStmt(*x1)).ok());
+  ASSERT_TRUE(mgr.ApplyAndPropagateAll(MakeInsertStmt(*x1)).ok());
+  ASSERT_TRUE(mgr.ApplyAndPropagateAll(MakeDeleteStmt(*a6)).ok());
+  ASSERT_TRUE(mgr.ApplyAndPropagateAll(MakeInsertStmt(*x1)).ok());
 
   auto def2 = XMarkView("Q1");
   ExpectViewEquals(mv.view(), GroundTruth(*def2, store), "sequence");
@@ -316,14 +320,15 @@ TEST(RecomputeBaselineTest, AgreesWithMaintained) {
 
   auto def = XMarkView("Q2");
   ASSERT_TRUE(def.ok());
-  MaintainedView mv(*def, &store1, LatticeStrategy::kSnowcaps);
-  mv.Initialize();
+  ViewManager mgr(&doc1, &store1);
+  ASSERT_TRUE(mgr.AddView(*def, LatticeStrategy::kSnowcaps).ok());
+  const MaintainedView& mv = mgr.view(0);
   RecomputedView rv(*def, &store2);
   rv.Initialize();
 
   auto u = FindXMarkUpdate("X2_L");
   ASSERT_TRUE(u.ok());
-  ASSERT_TRUE(mv.ApplyAndPropagate(&doc1, MakeInsertStmt(*u)).ok());
+  ASSERT_TRUE(mgr.ApplyAndPropagateAll(MakeInsertStmt(*u)).ok());
   ASSERT_TRUE(rv.ApplyAndRecompute(&doc2, MakeInsertStmt(*u)).ok());
 
   auto a = mv.view().Snapshot();

@@ -1,5 +1,7 @@
 #include "view/manager.h"
 
+#include <filesystem>
+
 #include <gtest/gtest.h>
 
 #include "pattern/compile.h"
@@ -7,6 +9,7 @@
 #include "xmark/updates.h"
 #include "xmark/views.h"
 #include "xml/parser.h"
+#include "xpath/xpath_eval.h"
 
 namespace xvm {
 namespace {
@@ -230,6 +233,67 @@ TEST(ViewManagerTest, MixedStrategiesStayConsistent) {
     ASSERT_TRUE(mgr.ApplyAndPropagateAll(MakeInsertStmt(*u)).ok());
   }
   ExpectAllConsistent(mgr, store);
+}
+
+/// A two-view manager over a small document, for the op-sequence tests.
+struct OpsFixture {
+  OpsFixture() : store(&doc), mgr(&doc, &store) {
+    XVM_CHECK(ParseDocument(
+                  "<r><c><b><d><b/></d><d><b/></d></b></c><b><d/></b></r>",
+                  &doc)
+                  .ok());
+    store.Build();
+    for (const char* dsl : {"//b{id}(//d{id}(//b{id}))", "//d{id,cont}"}) {
+      auto def = ViewDefinition::Create("v" + std::to_string(mgr.size()), dsl);
+      XVM_CHECK(def.ok());
+      XVM_CHECK(
+          mgr.AddView(std::move(def).value(), LatticeStrategy::kSnowcaps).ok());
+    }
+  }
+  DeweyId IdAt(const std::string& path, size_t i) {
+    auto nodes = EvalXPathString(doc, path);
+    XVM_CHECK(nodes.ok() && nodes->size() > i);
+    return doc.node((*nodes)[i]).id;
+  }
+  std::shared_ptr<Document> Forest(const std::string& xml) {
+    auto f = std::make_shared<Document>(doc.dict_ptr());
+    XVM_CHECK(ParseForest(xml, f.get()).ok());
+    return f;
+  }
+  Document doc;
+  StoreIndex store;
+  ViewManager mgr;
+};
+
+TEST(ViewManagerTest, OpSequencePropagatesToEveryView) {
+  OpsFixture f;
+  OpSequence ops = {
+      AtomicOp::InsInto(f.IdAt("//c/b/d", 0), f.Forest("<b><d><b/></d></b>")),
+      AtomicOp::Del(f.IdAt("//c/b/d", 1)),
+      AtomicOp::InsInto(f.IdAt("/r/b/d", 0), f.Forest("<b/>")),
+  };
+  const uint64_t before = f.mgr.last_sequence();
+  auto out = f.mgr.ApplyOpsAndPropagateAll(ReduceOps(ops));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->per_view.size(), 2u);
+  EXPECT_GT(out->nodes_inserted, 0u);
+  EXPECT_GT(out->nodes_deleted, 0u);
+  EXPECT_EQ(f.mgr.last_sequence(), before + 1);
+  EXPECT_EQ(f.mgr.SnapshotAll()->generation, f.mgr.last_sequence());
+  ExpectAllConsistent(f.mgr, f.store);
+}
+
+TEST(ViewManagerTest, OpSequenceRefusedWhileDurable) {
+  OpsFixture f;
+  const std::string dir = ::testing::TempDir() + "/mgr_ops_durable";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(f.mgr.EnableDurability(dir).ok());
+  OpSequence ops = {AtomicOp::Del(f.IdAt("//c/b/d", 0))};
+  auto out = f.mgr.ApplyOpsAndPropagateAll(ops);
+  EXPECT_EQ(out.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(f.mgr.last_sequence(), 0u);
+  ExpectAllConsistent(f.mgr, f.store);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "common/file_io.h"
 #include "common/varint.h"
 #include "pattern/compile.h"
+#include "view/manager.h"
 #include "xmark/generator.h"
 #include "xmark/updates.h"
 #include "xmark/views.h"
@@ -66,16 +67,20 @@ TEST(PersistTest, LoadedViewKeepsMaintaining) {
   std::string bytes = SaveViewToBytes(*src.view);
 
   Fixture dst = Make("Q2", LatticeStrategy::kSnowcaps);
-  ASSERT_TRUE(LoadViewFromBytes(bytes, dst.view.get()).ok());
+  ViewManager mgr(dst.doc.get(), dst.store.get());
+  ASSERT_TRUE(mgr.AddView(dst.view->def(), LatticeStrategy::kSnowcaps).ok());
+  // The load replaces the registered view's initial content, as Recover
+  // does.
+  ASSERT_TRUE(LoadViewFromBytes(bytes, &mgr.mutable_view(0)).ok());
 
   auto u = FindXMarkUpdate("X2_L");
   ASSERT_TRUE(u.ok());
-  auto out = dst.view->ApplyAndPropagate(dst.doc.get(), MakeInsertStmt(*u));
+  auto out = mgr.ApplyAndPropagateAll(MakeInsertStmt(*u));
   ASSERT_TRUE(out.ok());
 
-  const TreePattern& pat = dst.view->def().pattern();
+  const TreePattern& pat = mgr.view(0).def().pattern();
   auto truth = EvalViewWithCounts(pat, StoreLeafSource(dst.store.get(), &pat));
-  auto got = dst.view->view().Snapshot();
+  auto got = mgr.view(0).view().Snapshot();
   ASSERT_EQ(got.size(), truth.size());
   for (size_t i = 0; i < truth.size(); ++i) {
     EXPECT_EQ(got[i].tuple, truth[i].tuple);
@@ -440,10 +445,12 @@ TEST(PersistSaveFailureTest, UnwritableDirectoryFailsCleanly) {
 
 TEST(PersistSaveFailureTest, InjectedShortWriteLeavesPreviousCheckpoint) {
   Fixture src = Make("Q1", LatticeStrategy::kSnowcaps);
-  src.view->Initialize();
+  ViewManager mgr(src.doc.get(), src.store.get());
+  ASSERT_TRUE(mgr.AddView(src.view->def(), LatticeStrategy::kSnowcaps).ok());
+  const MaintainedView& view = mgr.view(0);
   const std::string path = ::testing::TempDir() + "/xvm_shortwrite.ckpt";
   std::remove(path.c_str());
-  ASSERT_TRUE(SaveViewToFile(*src.view, path).ok());
+  ASSERT_TRUE(SaveViewToFile(view, path).ok());
   std::string before;
   ASSERT_TRUE(ReadFileToString(path, &before).ok());
 
@@ -451,13 +458,12 @@ TEST(PersistSaveFailureTest, InjectedShortWriteLeavesPreviousCheckpoint) {
   // the temp-file write (a torn write, as a full disk would produce).
   auto u = FindXMarkUpdate("X1_L");
   ASSERT_TRUE(u.ok());
-  ASSERT_TRUE(
-      src.view->ApplyAndPropagate(src.doc.get(), MakeInsertStmt(*u)).ok());
+  ASSERT_TRUE(mgr.ApplyAndPropagateAll(MakeInsertStmt(*u)).ok());
   for (const char* point :
        {"atomic_write:after_open", "atomic_write:partial",
         "atomic_write:before_fsync", "atomic_write:before_rename"}) {
     fault::Arm(point, 1, fault::Mode::kError);
-    Status st = SaveViewToFile(*src.view, path);
+    Status st = SaveViewToFile(view, path);
     fault::Disarm();
     ASSERT_FALSE(st.ok()) << point;
     EXPECT_EQ(st.code(), StatusCode::kInternal) << point;
@@ -469,13 +475,13 @@ TEST(PersistSaveFailureTest, InjectedShortWriteLeavesPreviousCheckpoint) {
   }
 
   // With no fault armed the save replaces the file atomically.
-  ASSERT_TRUE(SaveViewToFile(*src.view, path).ok());
+  ASSERT_TRUE(SaveViewToFile(view, path).ok());
   std::string after;
   ASSERT_TRUE(ReadFileToString(path, &after).ok());
   EXPECT_NE(after, before);
   Fixture dst = Make("Q1", LatticeStrategy::kSnowcaps);
   ASSERT_TRUE(LoadViewFromFile(path, dst.view.get()).ok());
-  ExpectSameContent(*src.view, *dst.view);
+  ExpectSameContent(view, *dst.view);
   std::remove(path.c_str());
 }
 

@@ -4,14 +4,14 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 
 #include <gtest/gtest.h>
 
 #include "common/file_io.h"
 #include "pattern/compile.h"
-#include "view/deferred.h"
-#include "view/persist.h"
+#include "view/manager.h"
 #include "xmark/generator.h"
 #include "xmark/updates.h"
 #include "xmark/views.h"
@@ -249,230 +249,156 @@ TEST(WalTest, ReadLogHandlesMissingAndForeignFiles) {
   std::remove(path.c_str());
 }
 
-/// Deferred-mode durability: statements logged by a DeferredView replay into
-/// a fresh deferred view (same initial document) and converge to the same
-/// content — including when replayed twice (idempotent from the same start).
-TEST(WalTest, DeferredViewWalReplayRebuildsQueue) {
-  const std::string path = TempPath("wal_deferred.log");
-  std::remove(path.c_str());
-
-  auto make = [](uint64_t seed) {
-    struct F {
-      std::unique_ptr<Document> doc;
-      std::unique_ptr<StoreIndex> store;
-      std::unique_ptr<DeferredView> view;
-    } f;
-    f.doc = std::make_unique<Document>();
-    GenerateXMark(XMarkConfig{20 * 1024, seed}, f.doc.get());
-    f.store = std::make_unique<StoreIndex>(f.doc.get());
-    f.store->Build();
+/// One XMark document + view Q1 behind a ViewManager, for the deferred-mode
+/// durability tests below. `seed` 0 leaves the document empty: the recovery
+/// posture when a checkpoint manifest supplies the document.
+struct DeferredFixture {
+  explicit DeferredFixture(uint64_t seed) : store(&doc), mgr(&doc, &store) {
+    if (seed != 0) GenerateXMark(XMarkConfig{20 * 1024, seed}, &doc);
+    store.Build();
     auto def = XMarkView("Q1");
     XVM_CHECK(def.ok());
-    f.view = std::make_unique<DeferredView>(std::move(def).value(),
-                                            f.doc.get(), f.store.get(),
-                                            LatticeStrategy::kSnowcaps);
-    f.view->Initialize();
-    return f;
-  };
+    XVM_CHECK(
+        mgr.AddView(std::move(def).value(), LatticeStrategy::kSnowcaps).ok());
+  }
+  Document doc;
+  StoreIndex store;
+  ViewManager mgr;
+};
 
-  auto live = make(11);
-  ASSERT_TRUE(live.view->AttachWal(path).ok());
-  for (const char* uname : {"X1_L", "X2_L"}) {
-    auto u = FindXMarkUpdate(uname);
-    ASSERT_TRUE(u.ok());
-    ASSERT_TRUE(live.view->Apply(MakeInsertStmt(*u)).ok());
-  }
-  EXPECT_EQ(live.view->last_sequence(), 2u);
-  auto expected = live.view->Read()->tuples();
-
-  // "Crash": the in-memory queue is gone; rebuild from the log.
-  auto replayed = make(11);
-  auto records = WriteAheadLog::ReadLog(path);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 2u);
-  for (const WalRecord& rec : *records) {
-    ASSERT_TRUE(replayed.view->Apply(rec.stmt).ok());
-  }
-  auto got = replayed.view->Read()->tuples();
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(got[i].tuple, expected[i].tuple);
-    EXPECT_EQ(got[i].count, expected[i].count);
-  }
-  std::remove(path.c_str());
+std::string FreshDir(const std::string& name) {
+  const std::string dir = TempPath(name);
+  std::filesystem::remove_all(dir);  // leftovers from an earlier run
+  return dir;
 }
 
-/// Deferred checkpoint truncates the log; the saved view snapshot equals the
-/// flushed content.
+UpdateStmt InsertOf(const char* update_name) {
+  auto u = FindXMarkUpdate(update_name);
+  XVM_CHECK(u.ok());
+  return MakeInsertStmt(*u);
+}
+
+void ExpectSameTuples(const std::vector<CountedTuple>& got,
+                      const std::vector<CountedTuple>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].tuple, want[i].tuple);
+    EXPECT_EQ(got[i].count, want[i].count);
+  }
+}
+
+void ExpectMatchesRecompute(const DeferredFixture& f) {
+  const TreePattern& pat = f.mgr.view(0).def().pattern();
+  ExpectSameTuples(f.mgr.view(0).view().Snapshot(),
+                   EvalViewWithCounts(pat, StoreLeafSource(&f.store, &pat)));
+}
+
+/// Deferred-mode durability: Defer logs each statement before touching the
+/// document, so statements still queued at a crash replay (in immediate
+/// mode) into a fresh manager over the same initial document and converge
+/// to the content the live manager reaches once it flushes.
+TEST(WalTest, DeferredViewWalReplayRebuildsQueue) {
+  const std::string dir = FreshDir("wal_deferred");
+  DeferredFixture live(11);
+  ASSERT_TRUE(live.mgr.EnableDurability(dir).ok());
+  ASSERT_TRUE(live.mgr.Defer(InsertOf("X1_L")).ok());
+  ASSERT_TRUE(live.mgr.Defer(InsertOf("X2_L")).ok());
+  EXPECT_EQ(live.mgr.last_sequence(), 2u);
+  EXPECT_EQ(live.mgr.pending(), 2u);
+  auto records = WriteAheadLog::ReadLog(dir + "/wal.log");
+  ASSERT_TRUE(records.ok());
+  EXPECT_EQ(records->size(), 2u);
+
+  // "Crash": the queue is lost; rebuild from the log.
+  DeferredFixture replayed(11);
+  ASSERT_TRUE(replayed.mgr.Recover(dir).ok());
+  EXPECT_EQ(replayed.mgr.last_sequence(), 2u);
+  EXPECT_EQ(replayed.mgr.pending(), 0u);
+
+  live.mgr.Flush();
+  ExpectSameTuples(replayed.mgr.view(0).view().Snapshot(),
+                   live.mgr.view(0).view().Snapshot());
+  ExpectMatchesRecompute(replayed);
+  std::filesystem::remove_all(dir);
+}
+
+/// A checkpoint taken with statements queued flushes them first, so the
+/// document and view snapshots it saves agree; the WAL is truncated.
 TEST(WalTest, DeferredCheckpointSavesAndTruncates) {
-  const std::string wal_path = TempPath("wal_defer_ckpt.log");
-  const std::string view_path = TempPath("wal_defer_view.ckpt");
-  std::remove(wal_path.c_str());
-  std::remove(view_path.c_str());
+  const std::string dir = FreshDir("wal_defer_ckpt");
+  DeferredFixture live(11);
+  ASSERT_TRUE(live.mgr.EnableDurability(dir).ok());
+  ASSERT_TRUE(live.mgr.Defer(InsertOf("X1_L")).ok());
 
-  Document doc;
-  GenerateXMark(XMarkConfig{20 * 1024, 11}, &doc);
-  StoreIndex store(&doc);
-  store.Build();
-  auto def = XMarkView("Q1");
-  ASSERT_TRUE(def.ok());
-  DeferredView view(std::move(def).value(), &doc, &store,
-                    LatticeStrategy::kSnowcaps);
-  view.Initialize();
-  ASSERT_TRUE(view.AttachWal(wal_path).ok());
-  auto u = FindXMarkUpdate("X1_L");
-  ASSERT_TRUE(u.ok());
-  ASSERT_TRUE(view.Apply(MakeInsertStmt(*u)).ok());
-
-  ASSERT_TRUE(view.Checkpoint(view_path).ok());
-  EXPECT_EQ(view.pending(), 0u);
-  auto records = WriteAheadLog::ReadLog(wal_path);
+  ASSERT_TRUE(live.mgr.Checkpoint(dir).ok());
+  EXPECT_EQ(live.mgr.pending(), 0u);
+  EXPECT_EQ(live.mgr.Snapshot(0)->generation(), 1u);
+  auto records = WriteAheadLog::ReadLog(dir + "/wal.log");
   ASSERT_TRUE(records.ok());
   EXPECT_TRUE(records->empty());
-  EXPECT_TRUE(FileExists(view_path));
-  std::remove(wal_path.c_str());
-  std::remove(view_path.c_str());
+  EXPECT_TRUE(FileExists(dir + "/MANIFEST"));
+
+  DeferredFixture recovered(0);
+  ASSERT_TRUE(recovered.mgr.Recover(dir).ok());
+  ExpectSameTuples(recovered.mgr.view(0).view().Snapshot(),
+                   live.mgr.view(0).view().Snapshot());
+  ExpectMatchesRecompute(recovered);
+  std::filesystem::remove_all(dir);
 }
 
-/// The deferred checkpoint's durability contract (view/deferred.h): the
-/// caller owns document durability. This test plays the owner exactly as
-/// documented — durably save a document snapshot before Checkpoint(), and
-/// on recovery restore that document, rebuild the store, LoadCheckpoint()
-/// the view and re-Apply every WAL record with an LSN above the
-/// checkpoint's. A fault injected at
-/// "deferred_checkpoint:before_wal_truncate" (view saved, WAL still full)
-/// must lose nothing: every record is ≤ the checkpoint sequence, so replay
-/// is empty and the loaded view already matches a recompute.
+/// A fault after the manifest commits but before the WAL truncation (the
+/// checkpoint began with a non-empty queue) loses nothing: every logged
+/// record is ≤ the manifest's LSN, so recovery replays none and the loaded
+/// state already matches a recompute.
 TEST(WalTest, DeferredCheckpointFaultBeforeTruncateLosesNothing) {
-  const std::string wal_path = TempPath("wal_defer_fault.log");
-  const std::string view_path = TempPath("wal_defer_fault_view.ckpt");
-  std::remove(wal_path.c_str());
-  std::remove(view_path.c_str());
+  const std::string dir = FreshDir("wal_defer_fault");
+  DeferredFixture live(13);
+  ASSERT_TRUE(live.mgr.EnableDurability(dir).ok());
+  ASSERT_TRUE(live.mgr.Defer(InsertOf("X1_L")).ok());
+  ASSERT_TRUE(live.mgr.Defer(InsertOf("X2_L")).ok());
 
-  auto make = [](Document* doc, StoreIndex* store) {
-    auto def = XMarkView("Q1");
-    XVM_CHECK(def.ok());
-    auto view = std::make_unique<DeferredView>(std::move(def).value(), doc,
-                                               store, LatticeStrategy::kSnowcaps);
-    return view;
-  };
-
-  Document doc;
-  GenerateXMark(XMarkConfig{20 * 1024, 13}, &doc);
-  StoreIndex store(&doc);
-  store.Build();
-  auto view = make(&doc, &store);
-  view->Initialize();
-  ASSERT_TRUE(view->AttachWal(wal_path).ok());
-  for (const char* uname : {"X1_L", "X2_L"}) {
-    auto u = FindXMarkUpdate(uname);
-    ASSERT_TRUE(u.ok());
-    ASSERT_TRUE(view->Apply(MakeInsertStmt(*u)).ok());
-  }
-  const uint64_t ckpt_seq = view->last_sequence();
-
-  // The owner's half of the contract: the document is durable before the
-  // checkpoint may truncate the statements that produced it. Flush first so
-  // the saved bytes match the checkpointed (post-queue) state.
-  view->Flush();
-  const std::string doc_bytes = SaveDocumentToBytes(doc);
-
-  fault::Arm("deferred_checkpoint:before_wal_truncate", 1, fault::Mode::kError);
-  Status st = view->Checkpoint(view_path);
+  fault::Arm("checkpoint:before_wal_truncate", 1, fault::Mode::kError);
+  Status st = live.mgr.Checkpoint(dir);
   fault::Disarm();
   EXPECT_FALSE(st.ok());  // the injected Internal error surfaced
-  EXPECT_TRUE(FileExists(view_path));
+  EXPECT_EQ(live.mgr.pending(), 0u);
 
-  // "Crash": all in-memory state is gone. Recover per the contract.
-  auto records = WriteAheadLog::ReadLog(wal_path);
+  auto records = WriteAheadLog::ReadLog(dir + "/wal.log");
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 2u);  // truncation never happened
-  Document rdoc;
-  ASSERT_TRUE(LoadDocumentFromBytes(doc_bytes, &rdoc).ok());
-  StoreIndex rstore(&rdoc);
-  rstore.Build();
-  auto recovered = make(&rdoc, &rstore);
-  ASSERT_TRUE(recovered->LoadCheckpoint(view_path).ok());
-  size_t replayed = 0;
-  for (const WalRecord& rec : *records) {
-    if (rec.lsn <= ckpt_seq) continue;  // already inside the checkpoint
-    ASSERT_TRUE(recovered->Apply(rec.stmt).ok());
-    ++replayed;
-  }
-  EXPECT_EQ(replayed, 0u);
-
-  ViewSnapshotPtr got = recovered->Read();
-  const TreePattern& pat = recovered->def().pattern();
-  auto truth = EvalViewWithCounts(pat, StoreLeafSource(&rstore, &pat));
-  ASSERT_EQ(got->size(), truth.size());
-  for (size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_EQ(got->tuples()[i].tuple, truth[i].tuple);
-    EXPECT_EQ(got->tuples()[i].count, truth[i].count);
-  }
-  std::remove(wal_path.c_str());
-  std::remove(view_path.c_str());
+  DeferredFixture recovered(0);
+  ASSERT_TRUE(recovered.mgr.Recover(dir).ok());
+  EXPECT_EQ(recovered.mgr.last_sequence(), 2u);
+  ExpectSameTuples(recovered.mgr.view(0).view().Snapshot(),
+                   live.mgr.view(0).view().Snapshot());
+  ExpectMatchesRecompute(recovered);
+  std::filesystem::remove_all(dir);
 }
 
-/// Happy-path owner recovery: statements applied *after* a successful
-/// checkpoint live only in the WAL; recovery restores the owner's document
-/// snapshot, loads the view checkpoint and replays exactly those records.
+/// Statements deferred *after* a checkpoint live only in the WAL and the
+/// queue; recovery loads the checkpoint and replays exactly that tail.
 TEST(WalTest, DeferredCheckpointOwnerRecoveryReplaysTail) {
-  const std::string wal_path = TempPath("wal_defer_tail.log");
-  const std::string view_path = TempPath("wal_defer_tail_view.ckpt");
-  std::remove(wal_path.c_str());
-  std::remove(view_path.c_str());
-
-  Document doc;
-  GenerateXMark(XMarkConfig{20 * 1024, 17}, &doc);
-  StoreIndex store(&doc);
-  store.Build();
-  auto def = XMarkView("Q1");
-  ASSERT_TRUE(def.ok());
-  DeferredView view(std::move(def).value(), &doc, &store,
-                    LatticeStrategy::kSnowcaps);
-  view.Initialize();
-  ASSERT_TRUE(view.AttachWal(wal_path).ok());
-  auto u = FindXMarkUpdate("X1_L");
-  ASSERT_TRUE(u.ok());
-  ASSERT_TRUE(view.Apply(MakeInsertStmt(*u)).ok());
-
-  // Owner: durable doc snapshot, then the view checkpoint (truncates WAL).
-  view.Flush();
-  const std::string doc_bytes = SaveDocumentToBytes(doc);
-  ASSERT_TRUE(view.Checkpoint(view_path).ok());
-  const uint64_t ckpt_seq = view.last_sequence();
-
-  // Post-checkpoint tail, present only in the WAL.
-  ASSERT_TRUE(view.Apply(MakeInsertStmt(*u)).ok());
-
-  // "Crash" + recovery per the contract.
-  Document rdoc;
-  ASSERT_TRUE(LoadDocumentFromBytes(doc_bytes, &rdoc).ok());
-  StoreIndex rstore(&rdoc);
-  rstore.Build();
-  auto rdef = XMarkView("Q1");
-  ASSERT_TRUE(rdef.ok());
-  DeferredView recovered(std::move(rdef).value(), &rdoc, &rstore,
-                         LatticeStrategy::kSnowcaps);
-  ASSERT_TRUE(recovered.LoadCheckpoint(view_path).ok());
-  auto records = WriteAheadLog::ReadLog(wal_path);
+  const std::string dir = FreshDir("wal_defer_tail");
+  DeferredFixture live(17);
+  ASSERT_TRUE(live.mgr.EnableDurability(dir).ok());
+  ASSERT_TRUE(live.mgr.Defer(InsertOf("X1_L")).ok());
+  ASSERT_TRUE(live.mgr.Checkpoint(dir).ok());
+  ASSERT_TRUE(live.mgr.Defer(InsertOf("X1_L")).ok());
+  EXPECT_EQ(live.mgr.pending(), 1u);
+  auto records = WriteAheadLog::ReadLog(dir + "/wal.log");
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
-  for (const WalRecord& rec : *records) {
-    ASSERT_GT(rec.lsn, ckpt_seq);
-    ASSERT_TRUE(recovered.Apply(rec.stmt).ok());
-  }
+  EXPECT_EQ((*records)[0].lsn, 2u);
 
-  ViewSnapshotPtr got = recovered.Read();
-  const TreePattern& pat = recovered.def().pattern();
-  auto truth = EvalViewWithCounts(pat, StoreLeafSource(&rstore, &pat));
-  ASSERT_EQ(got->size(), truth.size());
-  for (size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_EQ(got->tuples()[i].tuple, truth[i].tuple);
-    EXPECT_EQ(got->tuples()[i].count, truth[i].count);
-  }
-  std::remove(wal_path.c_str());
-  std::remove(view_path.c_str());
+  // "Crash" with the tail still queued.
+  DeferredFixture recovered(0);
+  ASSERT_TRUE(recovered.mgr.Recover(dir).ok());
+  EXPECT_EQ(recovered.mgr.last_sequence(), 2u);
+  live.mgr.Flush();
+  ExpectSameTuples(recovered.mgr.view(0).view().Snapshot(),
+                   live.mgr.view(0).view().Snapshot());
+  ExpectMatchesRecompute(recovered);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
