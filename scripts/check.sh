@@ -20,9 +20,8 @@
 #      asserts that recovery equals a full recompute and never damages the
 #      previous checkpoint.
 #   6. TSan build (-DXVM_SANITIZE=thread) + full ctest run.
-#   7. TSan re-run of the val/cont cache stress test with the cache forced
-#      on (XVM_CONT_CACHE=1), so the striped-lock cache is raced by the
-#      parallel ViewManager regardless of the build's compiled default.
+#   7. TSan re-run of the val/cont cache stress test, so the striped-lock
+#      cache is raced by the parallel ViewManager.
 #   8. TSan re-run of the snapshot-serving suite: concurrent reader threads
 #      race the maintenance coordinator through the RCU publication slot,
 #      and every observed snapshot is replay-verified against a recompute.
@@ -135,8 +134,10 @@ build-asan/tools/planlint/planlint examples/views.lint
 ctest --test-dir build-asan -R 'planlint' --output-on-failure -j "$JOBS"
 
 step "physical plans (kernel selection pinned byte-exactly)"
-# The lowered plans the executor runs: which sorts are statically elided,
-# which demote to adaptive check-then-sort, where scans fused. The golden
+# The lowered plans the executor runs: which sorts the analyzer's order
+# facts let lowering elide (including those over snowcaps, which upkeep
+# keeps in their declared order), which stay adaptive check-then-sort
+# because no order is proven, where scans fused. The golden
 # (planlint_physical ctest) pins kernel selection; the standalone run makes
 # a kernel-selection regression name itself in CI output.
 build-asan/tools/planlint/planlint --physical \
@@ -161,8 +162,8 @@ XVM_CHECK_INVARIANTS=1 \
 
 run_config thread build-tsan
 
-step "cache stress (thread sanitizer, cache forced on)"
-XVM_CHECK_INVARIANTS=1 XVM_CONT_CACHE=1 \
+step "cache stress (thread sanitizer)"
+XVM_CHECK_INVARIANTS=1 \
   ctest --test-dir build-tsan -R 'StoreCacheStress|StoreCacheBytes|PersistTest.Fuzz' \
         --output-on-failure -j "$JOBS"
 

@@ -5,6 +5,21 @@
 
 namespace xvm {
 
+bool PlanFacts::OrderCovers(const std::vector<int>& keys) const {
+  size_t j = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (j < sort_prefix.size() && sort_prefix[j] == keys[i]) {
+      ++j;
+      continue;
+    }
+    const int d = determined_by[static_cast<size_t>(keys[i])];
+    bool tied = false;
+    for (size_t p = 0; d >= 0 && p < i && !tied; ++p) tied = keys[p] == d;
+    if (!tied) return false;
+  }
+  return true;
+}
+
 bool PlanFacts::HasKeyWithin(const std::vector<int>& cols) const {
   for (const auto& key : keys) {
     bool inside = true;
@@ -82,6 +97,8 @@ void AddKey(std::vector<int> key, PlanFacts* facts) {
 
 class Analyzer {
  public:
+  explicit Analyzer(PlanFactsMap* per_node) : per_node_(per_node) {}
+
   StatusOr<PlanFacts> AnalyzeRoot(const PlanNode& root) {
     return Analyze(root, root.OpName());
   }
@@ -90,6 +107,13 @@ class Analyzer {
   /// `path` is the operator path from the root down to `node`, e.g.
   /// "dupelim/project/sort/sjoin[inner]/select".
   StatusOr<PlanFacts> Analyze(const PlanNode& node, const std::string& path) {
+    XVM_ASSIGN_OR_RETURN(PlanFacts facts, AnalyzeOp(node, path));
+    if (per_node_ != nullptr) (*per_node_)[&node] = facts;
+    return facts;
+  }
+
+  StatusOr<PlanFacts> AnalyzeOp(const PlanNode& node,
+                                const std::string& path) {
     switch (node.op) {
       case PlanOp::kLeaf: return AnalyzeLeaf(node, path);
       case PlanOp::kSelect: return AnalyzeSelect(node, path);
@@ -323,7 +347,9 @@ class Analyzer {
     for (int c : node.cols) {
       XVM_RETURN_IF_ERROR(CheckCol(node, path, out, c, "sort key"));
     }
-    out.sort_prefix = node.cols;
+    // An input order that already covers the keys is kept: it is at least
+    // as strong, and the sort leaves such input untouched.
+    if (!out.OrderCovers(node.cols)) out.sort_prefix = node.cols;
     return out;
   }
 
@@ -493,12 +519,15 @@ class Analyzer {
     out.determined_by.assign(out.schema.size(), -1);
     return out;  // concatenation: no order, key or uniqueness facts survive
   }
+
+  PlanFactsMap* per_node_;
 };
 
 }  // namespace
 
-StatusOr<PlanFacts> AnalyzePlan(const PlanNode& root) {
-  return Analyzer().AnalyzeRoot(root);
+StatusOr<PlanFacts> AnalyzePlan(const PlanNode& root,
+                                PlanFactsMap* per_node) {
+  return Analyzer(per_node).AnalyzeRoot(root);
 }
 
 }  // namespace xvm

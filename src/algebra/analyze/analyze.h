@@ -2,6 +2,7 @@
 #define XVM_ALGEBRA_ANALYZE_ANALYZE_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "algebra/analyze/plan.h"
@@ -34,6 +35,10 @@ struct PlanFacts {
   bool SortedBy(int col) const {
     return !sort_prefix.empty() && sort_prefix[0] == col;
   }
+  /// True iff rows in this order are necessarily sorted by `keys`: each
+  /// key either consumes the next sort-prefix column, or is functionally
+  /// determined by an earlier key (constant within ties).
+  bool OrderCovers(const std::vector<int>& keys) const;
   /// True iff some proven key is a subset of `cols`.
   bool HasKeyWithin(const std::vector<int>& cols) const;
 
@@ -49,7 +54,13 @@ struct PlanFacts {
 /// the sortedness preconditions of the structural join. On the first
 /// violation returns InvalidArgument with a diagnostic naming the offending
 /// operator's path from the root plus a rendered plan excerpt.
-StatusOr<PlanFacts> AnalyzePlan(const PlanNode& root);
+///
+/// When `per_node` is non-null it also receives the output facts of every
+/// operator of the plan — what physical lowering (algebra/exec/physical.h)
+/// chooses kernels from, so order is inferred in this one place.
+using PlanFactsMap = std::unordered_map<const PlanNode*, PlanFacts>;
+StatusOr<PlanFacts> AnalyzePlan(const PlanNode& root,
+                                PlanFactsMap* per_node = nullptr);
 
 }  // namespace xvm
 

@@ -87,8 +87,8 @@ PlanNodePtr BuildPatternSubtreePlan(const TreePattern& pattern, int root,
 
   // The fused evaluator re-sorted every leaf pipeline defensively
   // (check-then-sort on the ID column). The plan keeps that sort explicit;
-  // the lowering proves it redundant from the leaf contract and the
-  // order-preservation of select/project, demoting it to an
+  // the analyzer proves it redundant from the leaf contract and the
+  // order-preservation of select/project, so lowering demotes it to an
   // XVM_CHECK_INVARIANTS-only audit.
   cur = MakeSortBy(std::move(cur), {0});
 
@@ -111,12 +111,8 @@ PlanNodePtr BuildPatternPlan(const TreePattern& pattern,
   XVM_CHECK(!pattern.empty());
   XVM_CHECK(Included(subset, 0));
   PlanNodePtr cur = BuildPatternSubtreePlan(pattern, 0, subset, src);
-  BindingLayout layout = ComputeBindingLayout(pattern, subset);
-  std::vector<int> id_cols;
-  for (const auto& nl : layout.per_node) {
-    if (nl.id_col >= 0) id_cols.push_back(nl.id_col);
-  }
-  return MakeSortBy(std::move(cur), std::move(id_cols));
+  return MakeSortBy(std::move(cur),
+                    BindingOrder(ComputeBindingLayout(pattern, subset)));
 }
 
 PlanNodePtr BuildViewPlan(const TreePattern& pattern) {
@@ -152,7 +148,9 @@ PlanNodePtr BuildTermPlan(const TreePattern& pattern,
   BindingLayout r_layout = ComputeBindingLayout(pattern, &r_part);
   PlanNodePtr cur;
   if (r_part_materialized) {
-    std::vector<int> sort_cols;
+    // Maintenance keeps a snowcap in its binding order (MaintainSnowcapsInsert
+    // merges new rows into place), so the leaf declares that order and the
+    // analyzer may elide sorts and prove structural joins from it.
     std::vector<int> det(r_layout.schema.size(), -1);
     std::string name = "snowcap:{";
     for (size_t i = 0; i < k; ++i) {
@@ -160,14 +158,13 @@ PlanNodePtr BuildTermPlan(const TreePattern& pattern,
       if (l.id_col < 0) continue;
       if (name.back() != '{') name += ",";
       name += pattern.node(static_cast<int>(i)).name;
-      sort_cols.push_back(l.id_col);
       det[static_cast<size_t>(l.id_col)] = l.id_col;
       if (l.val_col >= 0) det[static_cast<size_t>(l.val_col)] = l.id_col;
       if (l.cont_col >= 0) det[static_cast<size_t>(l.cont_col)] = l.id_col;
     }
     name += "}";
     cur = MakeLeaf(PlanLeafKind::kSnowcap, std::move(name), r_layout.schema,
-                   std::move(sort_cols), std::move(det));
+                   BindingOrder(r_layout), std::move(det));
   } else {
     cur = BuildPatternPlan(pattern, &r_part, PlanLeafSourceKind::kStore);
   }
@@ -189,8 +186,9 @@ PlanNodePtr BuildTermPlan(const TreePattern& pattern,
 
     int pcol = cur_layout[static_cast<size_t>(parent)].id_col;
     XVM_CHECK(pcol >= 0);
-    // EvaluateTerm re-sorts the accumulated relation by the frontier parent
-    // column whenever it is not already ordered by it.
+    // Order the accumulated relation by the frontier parent column: elided
+    // when its order already covers the column (e.g. a snowcap joined at its
+    // root), else an adaptive check-then-sort.
     cur = MakeSortBy(std::move(cur), {pcol});
     Axis axis = pattern.node(static_cast<int>(c)).edge == EdgeKind::kChild
                     ? Axis::kChild

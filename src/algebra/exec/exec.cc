@@ -15,12 +15,7 @@ namespace {
 bool SortedByKeys(const std::vector<Tuple>& rows,
                   const std::vector<int>& keys) {
   for (size_t i = 1; i < rows.size(); ++i) {
-    for (int c : keys) {
-      auto cmp = rows[i - 1][static_cast<size_t>(c)] <=>
-                 rows[i][static_cast<size_t>(c)];
-      if (cmp == std::strong_ordering::less) break;
-      if (cmp == std::strong_ordering::greater) return false;
-    }
+    if (RowLess(rows[i], rows[i - 1], keys)) return false;
   }
   return true;
 }

@@ -18,43 +18,14 @@ std::string JoinInts(const std::vector<int>& v) {
   return out;
 }
 
-/// Facts the lowering pass tracks bottom-up. Unlike the analyzer's
-/// PlanFacts, sort_prefix here is the order that provably holds *at
-/// runtime*: snowcap leaves contribute their declared order only under
-/// LowerOptions.trust_snowcap_order (see the header).
-struct RtFacts {
-  Schema schema;
-  std::vector<int> sort_prefix;
-  std::vector<int> determined_by;
-  bool saw_snowcap = false;  // subtree reads a materialized snowcap
-};
-
-/// True iff rows sorted by `f.sort_prefix` are necessarily sorted by
-/// `keys`: each key either consumes the next sort-prefix column, or is
-/// functionally determined by an earlier key (constant within ties).
-bool OrderCoversKeys(const RtFacts& f, const std::vector<int>& keys) {
-  size_t j = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (j < f.sort_prefix.size() && f.sort_prefix[j] == keys[i]) {
-      ++j;
-      continue;
-    }
-    const int d = f.determined_by[static_cast<size_t>(keys[i])];
-    bool tied = false;
-    for (size_t p = 0; d >= 0 && p < i && !tied; ++p) tied = keys[p] == d;
-    if (!tied) return false;
-  }
-  return true;
-}
-
-/// True iff grouping rows adjacent on the runtime sort prefix yields groups
-/// in full-tuple order with full-tuple-equal members — the soundness
-/// condition of the sorted DupElim kernel. Walking the columns in position
-/// order, every column must either be the next sort-prefix column or be
-/// determined by an already-consumed one (so ties on the prefix imply
-/// full-tuple equality, and the first differing column between two groups
-/// is always a prefix column).
-bool GroupOrderIsTupleOrder(const RtFacts& f) {
+/// True iff grouping rows adjacent on the sort prefix yields groups in
+/// full-tuple order with full-tuple-equal members — the soundness condition
+/// of the sorted DupElim kernel. Walking the columns in position order,
+/// every column must either be the next sort-prefix column or be determined
+/// by an already-consumed one (so ties on the prefix imply full-tuple
+/// equality, and the first differing column between two groups is always a
+/// prefix column).
+bool GroupOrderIsTupleOrder(const PlanFacts& f) {
   const std::vector<int>& sp = f.sort_prefix;
   size_t j = 0;
   for (size_t pos = 0; pos < f.schema.size(); ++pos) {
@@ -79,125 +50,79 @@ std::string ColNames(const Schema& schema, const std::vector<int>& cols) {
   return out + "]";
 }
 
-struct Lowered {
-  int idx = -1;
-  RtFacts facts;
-};
-
+/// Emits kernels bottom-up. Every order/dependency fact comes from the
+/// analyzer's per-node facts; lowering only chooses kernels from them and
+/// fuses Select/Project into scans.
 class Lowerer {
  public:
-  explicit Lowerer(const LowerOptions& opts) : opts_(opts) {}
+  explicit Lowerer(const PlanFactsMap& facts) : facts_(facts) {}
 
-  StatusOr<Lowered> Lower(const PlanNode& node) {
+  /// Lowers `node`'s subtree; returns the index of its output kernel.
+  int Lower(const PlanNode& node) {
     switch (node.op) {
       case PlanOp::kLeaf: return LowerLeaf(node);
       case PlanOp::kSelect: return LowerSelect(node);
       case PlanOp::kProject: return LowerProject(node);
       case PlanOp::kSortBy: return LowerSortBy(node);
       case PlanOp::kDupElim: return LowerDupElim(node);
-      case PlanOp::kProduct: return LowerConcat(node, PhysKernel::kProduct);
-      case PlanOp::kHashJoin: return LowerConcat(node, PhysKernel::kHashJoin);
+      case PlanOp::kProduct: return LowerBinary(node, PhysKernel::kProduct);
+      case PlanOp::kHashJoin: return LowerBinary(node, PhysKernel::kHashJoin);
       case PlanOp::kStructJoin:
-        return LowerConcat(node, PhysKernel::kStructJoin);
-      case PlanOp::kUnionAll: return LowerUnion(node);
+        return LowerBinary(node, PhysKernel::kStructJoin);
+      case PlanOp::kUnionAll: return LowerBinary(node, PhysKernel::kUnionAll);
     }
-    return Status::Internal("lowering: unknown operator");
+    XVM_CHECK(false);  // AnalyzePlan rejects unknown operators
+    return -1;
   }
 
   PhysicalPlan TakePlan() && { return std::move(plan_); }
 
  private:
+  const PlanFacts& Facts(const PlanNode& node) const {
+    return facts_.at(&node);
+  }
+
   int Append(PhysNode phys) {
     plan_.nodes.push_back(std::move(phys));
     return static_cast<int>(plan_.nodes.size()) - 1;
   }
 
-  StatusOr<Lowered> LowerLeaf(const PlanNode& node) {
-    Lowered out;
-    out.facts.schema = node.leaf_schema;
-    out.facts.determined_by = node.leaf_determined_by;
-    if (out.facts.determined_by.empty()) {
-      out.facts.determined_by.assign(node.leaf_schema.size(), -1);
-    }
+  int LowerLeaf(const PlanNode& node) {
     PhysNode phys;
+    phys.kernel = node.leaf_kind == PlanLeafKind::kSnowcap
+                      ? PhysKernel::kSnowcapScan
+                      : PhysKernel::kScan;
     phys.leaf_kind = node.leaf_kind;
     phys.leaf_name = node.leaf_name;
     phys.leaf_schema = node.leaf_schema;
     phys.leaf_sort_prefix = node.leaf_sort_prefix;
     phys.leaf_node = node.leaf_node;
     phys.schema = node.leaf_schema;
-    if (node.leaf_kind == PlanLeafKind::kSnowcap) {
-      phys.kernel = PhysKernel::kSnowcapScan;
-      out.facts.saw_snowcap = true;
-      if (opts_.trust_snowcap_order) {
-        out.facts.sort_prefix = node.leaf_sort_prefix;
-      } else {
-        phys.note = "declared order " +
-                    ColNames(node.leaf_schema, node.leaf_sort_prefix) +
-                    " not trusted at runtime (maintenance appends)";
-      }
-    } else {
-      phys.kernel = PhysKernel::kScan;
-      out.facts.sort_prefix = node.leaf_sort_prefix;
-    }
-    out.idx = Append(std::move(phys));
-    return out;
+    return Append(std::move(phys));
   }
 
-  StatusOr<Lowered> LowerSelect(const PlanNode& node) {
-    XVM_ASSIGN_OR_RETURN(Lowered in, Lower(*node.inputs[0]));
+  int LowerSelect(const PlanNode& node) {
+    const int in = Lower(*node.inputs[0]);
     // Fuse into a scan that has not projected yet (the predicates then
     // index the unchanged leaf schema).
-    PhysNode& child = plan_.nodes[static_cast<size_t>(in.idx)];
+    PhysNode& child = plan_.nodes[static_cast<size_t>(in)];
     if (child.kernel == PhysKernel::kScan && child.cols.empty()) {
       if (child.predicates.empty()) ++plan_.scans_fused;
       child.predicates.insert(child.predicates.end(), node.predicates.begin(),
                               node.predicates.end());
-      return in;  // selection preserves facts
+      return in;
     }
     PhysNode phys;
     phys.kernel = PhysKernel::kSelect;
-    phys.inputs = {in.idx};
+    phys.inputs = {in};
     phys.predicates = node.predicates;
-    phys.schema = in.facts.schema;
-    Lowered out;
-    out.facts = std::move(in.facts);
-    out.idx = Append(std::move(phys));
-    return out;
+    phys.schema = Facts(node).schema;
+    return Append(std::move(phys));
   }
 
-  static RtFacts ProjectFacts(const RtFacts& in, const std::vector<int>& cols) {
-    RtFacts out;
-    out.saw_snowcap = in.saw_snowcap;
-    std::vector<int> first_pos(in.schema.size(), -1);
-    for (int c : cols) {
-      if (first_pos[static_cast<size_t>(c)] < 0) {
-        first_pos[static_cast<size_t>(c)] = static_cast<int>(out.schema.size());
-      }
-      out.schema.Add(in.schema.col(static_cast<size_t>(c)));
-    }
-    out.determined_by.assign(out.schema.size(), -1);
-    for (size_t j = 0; j < cols.size(); ++j) {
-      const int c = cols[j];
-      const int d = in.determined_by[static_cast<size_t>(c)];
-      if (d < 0) continue;
-      if (d == c) {
-        out.determined_by[j] = static_cast<int>(j);
-      } else if (first_pos[static_cast<size_t>(d)] >= 0) {
-        out.determined_by[j] = first_pos[static_cast<size_t>(d)];
-      }
-    }
-    for (int c : in.sort_prefix) {
-      const int p = first_pos[static_cast<size_t>(c)];
-      if (p < 0) break;
-      out.sort_prefix.push_back(p);
-    }
-    return out;
-  }
-
-  StatusOr<Lowered> LowerProject(const PlanNode& node) {
-    XVM_ASSIGN_OR_RETURN(Lowered in, Lower(*node.inputs[0]));
-    PhysNode& child = plan_.nodes[static_cast<size_t>(in.idx)];
+  int LowerProject(const PlanNode& node) {
+    const int in = Lower(*node.inputs[0]);
+    PhysNode& child = plan_.nodes[static_cast<size_t>(in)];
     if (child.kernel == PhysKernel::kScan) {
       if (child.cols.empty() && child.predicates.empty()) ++plan_.scans_fused;
       if (child.cols.empty()) {
@@ -210,154 +135,73 @@ class Lowerer {
         }
         child.cols = std::move(composed);
       }
-      Lowered out;
-      out.facts = ProjectFacts(in.facts, node.cols);
-      child.schema = out.facts.schema;
-      out.idx = in.idx;
-      return out;
+      child.schema = Facts(node).schema;
+      return in;
     }
-    Lowered out;
-    out.facts = ProjectFacts(in.facts, node.cols);
     PhysNode phys;
     phys.kernel = PhysKernel::kProject;
-    phys.inputs = {in.idx};
+    phys.inputs = {in};
     phys.cols = node.cols;
-    phys.schema = out.facts.schema;
-    out.idx = Append(std::move(phys));
-    return out;
+    phys.schema = Facts(node).schema;
+    return Append(std::move(phys));
   }
 
-  StatusOr<Lowered> LowerSortBy(const PlanNode& node) {
-    XVM_ASSIGN_OR_RETURN(Lowered in, Lower(*node.inputs[0]));
+  int LowerSortBy(const PlanNode& node) {
+    const int in = Lower(*node.inputs[0]);
+    const PlanFacts& in_facts = Facts(*node.inputs[0]);
     PhysNode phys;
-    phys.inputs = {in.idx};
+    phys.inputs = {in};
     phys.cols = node.cols;
-    phys.schema = in.facts.schema;
-    Lowered out;
-    if (OrderCoversKeys(in.facts, node.cols)) {
+    phys.schema = in_facts.schema;
+    if (in_facts.OrderCovers(node.cols)) {
       phys.kernel = PhysKernel::kSortElided;
       phys.note = "elided: input order " +
-                  ColNames(in.facts.schema, in.facts.sort_prefix) +
+                  ColNames(in_facts.schema, in_facts.sort_prefix) +
                   " covers the keys";
       ++plan_.sorts_elided_static;
-      out.facts = std::move(in.facts);  // pass-through keeps the stronger order
     } else {
       phys.kernel = PhysKernel::kSortAdaptive;
-      phys.note = in.facts.saw_snowcap
-                      ? "check-then-sort: snowcap order not trusted at runtime"
-                      : "check-then-sort: input order unproven";
-      out.facts = std::move(in.facts);
-      out.facts.sort_prefix = node.cols;
+      phys.note = "check-then-sort: input order unproven";
     }
-    out.idx = Append(std::move(phys));
-    return out;
+    return Append(std::move(phys));
   }
 
-  StatusOr<Lowered> LowerDupElim(const PlanNode& node) {
-    XVM_ASSIGN_OR_RETURN(Lowered in, Lower(*node.inputs[0]));
+  int LowerDupElim(const PlanNode& node) {
+    const int in = Lower(*node.inputs[0]);
+    const PlanFacts& in_facts = Facts(*node.inputs[0]);
     PhysNode phys;
-    phys.inputs = {in.idx};
-    phys.schema = in.facts.schema;
-    if (GroupOrderIsTupleOrder(in.facts)) {
+    phys.inputs = {in};
+    phys.schema = in_facts.schema;
+    if (GroupOrderIsTupleOrder(in_facts)) {
       phys.kernel = PhysKernel::kDupElimSorted;
       phys.note = "sorted input " +
-                  ColNames(in.facts.schema, in.facts.sort_prefix) +
+                  ColNames(in_facts.schema, in_facts.sort_prefix) +
                   ": adjacent grouping";
     } else {
       phys.kernel = PhysKernel::kDupElimHash;
       phys.note = "hash grouping: input order does not determine tuple order";
     }
-    Lowered out;
-    out.facts.schema = in.facts.schema;
-    out.facts.saw_snowcap = in.facts.saw_snowcap;
-    out.facts.determined_by = in.facts.determined_by;
-    // Output is sorted by the full tuple.
-    for (size_t c = 0; c < in.facts.schema.size(); ++c) {
-      out.facts.sort_prefix.push_back(static_cast<int>(c));
-    }
-    out.idx = Append(std::move(phys));
-    return out;
+    return Append(std::move(phys));
   }
 
-  static void ConcatRt(const RtFacts& l, const RtFacts& r, RtFacts* out) {
-    out->schema = Schema::Concat(l.schema, r.schema);
-    const int lw = static_cast<int>(l.schema.size());
-    out->determined_by = l.determined_by;
-    for (int d : r.determined_by) {
-      out->determined_by.push_back(d < 0 ? -1 : d + lw);
-    }
-    out->saw_snowcap = l.saw_snowcap || r.saw_snowcap;
-  }
-
-  StatusOr<Lowered> LowerConcat(const PlanNode& node, PhysKernel kernel) {
-    XVM_ASSIGN_OR_RETURN(Lowered l, Lower(*node.inputs[0]));
-    XVM_ASSIGN_OR_RETURN(Lowered r, Lower(*node.inputs[1]));
-    Lowered out;
-    ConcatRt(l.facts, r.facts, &out.facts);
-    const int lw = static_cast<int>(l.facts.schema.size());
+  /// Product, joins and union: the analyzer already proved the structural
+  /// join's input order, so only parameters are copied.
+  int LowerBinary(const PlanNode& node, PhysKernel kernel) {
+    const int l = Lower(*node.inputs[0]);
+    const int r = Lower(*node.inputs[1]);
     PhysNode phys;
     phys.kernel = kernel;
-    phys.inputs = {l.idx, r.idx};
-    phys.schema = out.facts.schema;
-    switch (kernel) {
-      case PhysKernel::kProduct:
-        out.facts.sort_prefix = l.facts.sort_prefix;  // left-major
-        break;
-      case PhysKernel::kHashJoin:
-        phys.left_cols = node.left_cols;
-        phys.right_cols = node.right_cols;
-        // Probe order survives, shifted past the build columns.
-        for (int c : r.facts.sort_prefix) {
-          out.facts.sort_prefix.push_back(c + lw);
-        }
-        break;
-      case PhysKernel::kStructJoin: {
-        phys.outer_col = node.outer_col;
-        phys.inner_col = node.inner_col;
-        phys.axis = node.axis;
-        // The merge-based kernel silently mis-evaluates on unsorted input;
-        // the analyzer proved the logical order, but lowering re-proves it
-        // against the weaker *runtime* facts (snowcap contracts excluded).
-        if (l.facts.sort_prefix.empty() ||
-            l.facts.sort_prefix[0] != node.outer_col) {
-          return Status::Internal(
-              "lowering: structural-join outer order not runtime-provable "
-              "(column " +
-              std::to_string(node.outer_col) + ")");
-        }
-        if (r.facts.sort_prefix.empty() ||
-            r.facts.sort_prefix[0] != node.inner_col) {
-          return Status::Internal(
-              "lowering: structural-join inner order not runtime-provable "
-              "(column " +
-              std::to_string(node.inner_col) + ")");
-        }
-        out.facts.sort_prefix = {node.inner_col + lw};
-        break;
-      }
-      default:
-        return Status::Internal("lowering: bad concat kernel");
-    }
-    out.idx = Append(std::move(phys));
-    return out;
+    phys.inputs = {l, r};
+    phys.schema = Facts(node).schema;
+    phys.left_cols = node.left_cols;
+    phys.right_cols = node.right_cols;
+    phys.outer_col = node.outer_col;
+    phys.inner_col = node.inner_col;
+    phys.axis = node.axis;
+    return Append(std::move(phys));
   }
 
-  StatusOr<Lowered> LowerUnion(const PlanNode& node) {
-    XVM_ASSIGN_OR_RETURN(Lowered l, Lower(*node.inputs[0]));
-    XVM_ASSIGN_OR_RETURN(Lowered r, Lower(*node.inputs[1]));
-    Lowered out;
-    out.facts.schema = l.facts.schema;
-    out.facts.determined_by.assign(out.facts.schema.size(), -1);
-    out.facts.saw_snowcap = l.facts.saw_snowcap || r.facts.saw_snowcap;
-    PhysNode phys;
-    phys.kernel = PhysKernel::kUnionAll;
-    phys.inputs = {l.idx, r.idx};
-    phys.schema = out.facts.schema;
-    out.idx = Append(std::move(phys));
-    return out;
-  }
-
-  LowerOptions opts_;
+  const PlanFactsMap& facts_;
   PhysicalPlan plan_;
 };
 
@@ -446,18 +290,11 @@ std::string PhysicalPlan::ToString() const {
   return out;
 }
 
-StatusOr<PhysicalPlan> LowerPlan(const PlanNode& root,
-                                 const LowerOptions& opts) {
-  XVM_ASSIGN_OR_RETURN(PlanFacts analyzed, AnalyzePlan(root));
-  Lowerer lowerer(opts);
-  XVM_ASSIGN_OR_RETURN(Lowered lowered, lowerer.Lower(root));
-  // Cross-check: the kernel pipeline must reproduce the analyzed schema
-  // exactly, or fused scans / projections were composed wrongly.
-  if (!(lowered.facts.schema == analyzed.schema)) {
-    return Status::Internal(
-        "lowering produced schema " + lowered.facts.schema.ToString() +
-        " but the analyzer proved " + analyzed.schema.ToString());
-  }
+StatusOr<PhysicalPlan> LowerPlan(const PlanNode& root) {
+  PlanFactsMap facts;
+  XVM_RETURN_IF_ERROR(AnalyzePlan(root, &facts).status());
+  Lowerer lowerer(facts);
+  lowerer.Lower(root);
   return std::move(lowerer).TakePlan();
 }
 

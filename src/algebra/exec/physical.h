@@ -13,30 +13,28 @@ namespace xvm {
 
 /// Physical lowering of the plan IR (algebra/analyze/plan.h): the pass that
 /// turns an analyzed logical plan into the kernel sequence the executor
-/// (algebra/exec/exec.h) runs. Kernel selection is fact-driven — the same
-/// order/dependency facts the install-time analyzer proves decide, per node:
+/// (algebra/exec/exec.h) runs. Kernel selection reads the per-node facts of
+/// the install-time analyzer (AnalyzePlan in algebra/analyze/analyze.h) —
+/// lowering infers no order of its own — and decides, per node:
 ///
-///  * SortBy whose input order is statically proven becomes kSortElided, a
+///  * SortBy whose input order covers the keys becomes kSortElided, a
 ///    pass-through that under XVM_CHECK_INVARIANTS audits the order it
 ///    relies on (the per-leaf IsSortedByIdCol scans and the re-sort after
 ///    every structural join of the old fused evaluators both collapse into
 ///    this).
-///  * SortBy whose input order is plausible but not runtime-trustworthy
-///    (anything fed by a materialized snowcap — see LowerOptions) becomes
-///    kSortAdaptive: one O(n) sortedness check, then either a pass-through
-///    or a real stable sort.
-///  * DupElim over input proven sorted such that group order equals
-///    full-tuple order becomes kDupElimSorted (adjacent grouping) instead of
-///    the EncodeTuple hash map.
+///  * Any other SortBy becomes kSortAdaptive: one O(n) sortedness check,
+///    then either a pass-through or a real stable sort (e.g. re-sorting a
+///    snowcap by a frontier column other than its first).
+///  * DupElim over input sorted such that group order equals full-tuple
+///    order becomes kDupElimSorted (adjacent grouping) instead of the
+///    EncodeTuple hash map.
 ///  * Select/Project chains directly over a pattern leaf fuse into the scan
 ///    (one pass, no intermediate relations).
 ///
-/// Lowering computes its own *runtime-trustworthy* order facts rather than
-/// reusing the analyzer's verbatim: a materialized snowcap's declared sort
-/// contract holds at install time but is weakened by maintenance
-/// (MaintainSnowcapsInsert appends term rows without re-sorting), so a
-/// snowcap leaf's order contributes nothing to static elision unless
-/// LowerOptions.trust_snowcap_order is set.
+/// Leaf order contracts hold at runtime: store and Δ leaves are scanned in
+/// document order, and a materialized snowcap is kept in its declared order
+/// (BindingOrder in pattern/compile.h) by maintenance, checked when a view
+/// is loaded and by the content auditor.
 
 /// Physical kernel of one lowered node.
 enum class PhysKernel : uint8_t {
@@ -89,7 +87,7 @@ struct PhysNode {
   std::vector<int> left_cols;
   std::vector<int> right_cols;
 
-  /// Why this kernel was chosen (elision proof, distrusted contract, ...).
+  /// Why this kernel was chosen (elision proof, unproven order, ...).
   /// Shown by planlint --physical; empty when the choice needs no comment.
   std::string note;
 
@@ -112,22 +110,10 @@ struct PhysicalPlan {
   std::string ToString() const;
 };
 
-struct LowerOptions {
-  /// Trust the declared sort contract of kSnowcap leaves. Off by default:
-  /// MaintainSnowcapsInsert appends rows without re-sorting, so at runtime a
-  /// materialized snowcap is NOT generally in its declared order, and a sort
-  /// elided from that contract would silently mis-feed the merge-based
-  /// structural join. With the default, every sort above a snowcap lowers
-  /// to the adaptive check-then-sort kernel (bit-identical to the old fused
-  /// evaluator's IsSortedByIdCol + conditional SortBy).
-  bool trust_snowcap_order = false;
-};
-
 /// Validates `root` with AnalyzePlan, then lowers it. Fails (propagating
 /// the analyzer's diagnostic) on any plan the install-time gate would
 /// reject; compiler-emitted plans of installed views never fail.
-StatusOr<PhysicalPlan> LowerPlan(const PlanNode& root,
-                                 const LowerOptions& opts = {});
+StatusOr<PhysicalPlan> LowerPlan(const PlanNode& root);
 
 }  // namespace xvm
 

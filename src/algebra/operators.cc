@@ -57,14 +57,7 @@ Relation Project(const Relation& in, const std::vector<int>& cols) {
 Relation SortBy(Relation in, const std::vector<int>& key_cols) {
   std::stable_sort(in.rows.begin(), in.rows.end(),
                    [&key_cols](const Tuple& a, const Tuple& b) {
-                     for (int c : key_cols) {
-                       auto cmp = a[static_cast<size_t>(c)] <=>
-                                  b[static_cast<size_t>(c)];
-                       if (cmp != std::strong_ordering::equal) {
-                         return cmp == std::strong_ordering::less;
-                       }
-                     }
-                     return false;
+                     return RowLess(a, b, key_cols);
                    });
   return in;
 }

@@ -106,6 +106,19 @@ struct Relation {
   bool empty() const { return rows.empty(); }
 };
 
+/// True iff row `a` sorts before row `b` lexicographically on the columns
+/// `cols` (IDs in document order).
+inline bool RowLess(const Tuple& a, const Tuple& b,
+                    const std::vector<int>& cols) {
+  for (int c : cols) {
+    auto cmp = a[static_cast<size_t>(c)] <=> b[static_cast<size_t>(c)];
+    if (cmp != std::strong_ordering::equal) {
+      return cmp == std::strong_ordering::less;
+    }
+  }
+  return false;
+}
+
 /// Canonical encoding of a whole tuple (grouping key).
 std::string EncodeTuple(const Tuple& t);
 

@@ -46,6 +46,14 @@ BindingLayout ComputeBindingLayout(const TreePattern& pattern,
   return out;
 }
 
+std::vector<int> BindingOrder(const BindingLayout& layout) {
+  std::vector<int> order;
+  for (const NodeLayout& l : layout.per_node) {
+    if (l.id_col >= 0) order.push_back(l.id_col);
+  }
+  return order;
+}
+
 LeafSource StoreLeafSource(const StoreIndex* store,
                            const TreePattern* pattern) {
   return [store, pattern](int node_idx) -> Relation {

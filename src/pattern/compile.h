@@ -31,6 +31,13 @@ struct BindingLayout {
 BindingLayout ComputeBindingLayout(const TreePattern& pattern,
                                    const std::vector<bool>* subset);
 
+/// ID columns of `layout` in pattern-node order. Binding relations are
+/// sorted lexicographically by them (the final sort of EvalTreePattern), so
+/// this is also the declared order of a materialized snowcap: its plan
+/// leaf's sort contract, the order maintenance keeps it in, and the order
+/// view loading and the content auditor check.
+std::vector<int> BindingOrder(const BindingLayout& layout);
+
 /// Supplies the leaf relation of pattern node `i`. Contract: the returned
 /// relation has columns "<name>.ID" [, "<name>.val"][, "<name>.cont"] where
 /// val is present iff the node stores val *or* has a value predicate, cont

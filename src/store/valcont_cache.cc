@@ -6,26 +6,9 @@ namespace xvm {
 
 namespace {
 
-// Mirrors the invariant-gate convention (common/invariant.cc): unset falls
-// back to the compile-time default, "0" disables, anything else enables.
-bool EnvFlag(const char* name, bool fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  return !(env[0] == '0' && env[1] == '\0');
-}
-
 constexpr size_t kDefaultBudgetBytes = 64u << 20;  // 64 MiB
 
 }  // namespace
-
-bool ContCacheDefaultEnabled() {
-#ifdef XVM_CONT_CACHE_DEFAULT_OFF
-  constexpr bool kCompiledDefault = false;
-#else
-  constexpr bool kCompiledDefault = true;
-#endif
-  return EnvFlag("XVM_CONT_CACHE", kCompiledDefault);
-}
 
 size_t ContCacheDefaultBudgetBytes() {
   const char* env = std::getenv("XVM_CONT_CACHE_BYTES");
@@ -36,9 +19,7 @@ size_t ContCacheDefaultBudgetBytes() {
   return static_cast<size_t>(parsed);
 }
 
-ValContCache::ValContCache()
-    : enabled_(ContCacheDefaultEnabled()),
-      budget_bytes_(ContCacheDefaultBudgetBytes()) {}
+ValContCache::ValContCache() : budget_bytes_(ContCacheDefaultBudgetBytes()) {}
 
 void ValContCache::set_enabled(bool enabled) {
   if (enabled_.exchange(enabled, std::memory_order_relaxed) == enabled) {

@@ -36,8 +36,8 @@ using ValContCacheKey = uint32_t;
 ///
 /// Memory: a byte budget (default 64 MiB, XVM_CONT_CACHE_BYTES) bounds the
 /// cache; a shard that outgrows its slice evicts arbitrary entries until it
-/// is back under. The gate (XVM_CONT_CACHE env, XVM_CONT_CACHE CMake
-/// option) turns the whole cache off, making Val/Cont plain recomputation.
+/// is back under. The cache starts enabled; set_enabled(false) turns it
+/// off, making Val/Cont plain recomputation (bench_cache's baseline).
 class ValContCache {
  public:
   enum class Kind : uint8_t { kVal, kCont };
@@ -59,8 +59,8 @@ class ValContCache {
     std::string cont;
   };
 
-  /// Gate and budget resolve from the environment (XVM_CONT_CACHE,
-  /// XVM_CONT_CACHE_BYTES), falling back to the compile-time defaults.
+  /// Enabled, with the byte budget from XVM_CONT_CACHE_BYTES (default
+  /// 64 MiB).
   ValContCache();
 
   ValContCache(const ValContCache&) = delete;
@@ -138,7 +138,7 @@ class ValContCache {
   // entries it guards live behind the shard locks), so relaxed is enough —
   // a stale read costs one bypassed lookup or one insert into a cache about
   // to be cleared, both benign under the quiesced-flip contract above.
-  std::atomic<bool> enabled_;
+  std::atomic<bool> enabled_{true};
   // atomic: read by EvictLocked under a *shard* lock while set_budget_bytes
   // stores it with no lock of its own; the budget is advisory (eviction
   // pressure), so relaxed suffices — a shard evicting against a stale budget
@@ -154,10 +154,7 @@ class ValContCache {
   mutable std::atomic<uint64_t> evictions_{0};
 };
 
-/// Process-wide defaults: XVM_CONT_CACHE env ("0" disables, anything else
-/// enables, unset falls back to the XVM_CONT_CACHE CMake option), and
-/// XVM_CONT_CACHE_BYTES (byte budget, default 64 MiB).
-bool ContCacheDefaultEnabled();
+/// Process-wide default byte budget: XVM_CONT_CACHE_BYTES, else 64 MiB.
 size_t ContCacheDefaultBudgetBytes();
 
 }  // namespace xvm

@@ -19,10 +19,43 @@ std::string TupleDesc(const Tuple& t) {
   return out;
 }
 
+/// Each materialized snowcap must equal its re-materialization row for row:
+/// the same bindings, in the binding order its plan leaf declares.
+void AuditSnowcaps(const MaintainedView& view, const StoreIndex& store,
+                   InvariantReport* report) {
+  const std::string& name = view.def().name();
+  const TreePattern& pattern = view.def().pattern();
+  for (const MaterializedSnowcap& sc : view.lattice().snowcaps()) {
+    const Relation truth =
+        EvalTreePattern(pattern, StoreLeafSource(&store, &pattern), &sc.nodes);
+    const std::vector<Tuple>& got = sc.data.rows;
+    const std::string what = "view '" + name + "' snowcap " +
+                             NodeSetToString(pattern, sc.nodes);
+    if (got.size() != truth.rows.size()) {
+      report->Add("view.snowcap_matches_recompute",
+                  what + " holds " + std::to_string(got.size()) +
+                      " rows but re-materialization yields " +
+                      std::to_string(truth.rows.size()));
+      continue;
+    }
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (got[i] != truth.rows[i]) {
+        report->Add("view.snowcap_matches_recompute",
+                    what + " diverges from re-materialization at row " +
+                        std::to_string(i) + ": maintained " +
+                        TupleDesc(got[i]) + ", recomputed " +
+                        TupleDesc(truth.rows[i]));
+        break;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void AuditViewContent(const MaintainedView& view, const StoreIndex& store,
                       InvariantReport* report) {
+  AuditSnowcaps(view, store, report);
   const std::string& name = view.def().name();
   const TreePattern& pattern = view.def().pattern();
   const std::vector<CountedTuple> truth =

@@ -15,7 +15,9 @@ namespace xvm {
 /// the canonical relations rolled forward).
 /// Invariants: "view.matches_recompute" (size or tuple/count mismatch, with
 /// the first divergent tuple in the diagnostic), "view.positive_counts",
-/// "view.derivation_total" (total_derivations() equals the sum of counts).
+/// "view.derivation_total" (total_derivations() equals the sum of counts),
+/// "view.snowcap_matches_recompute" (each materialized snowcap equals its
+/// re-materialization row for row — content and binding order).
 void AuditViewContent(const MaintainedView& view, const StoreIndex& store,
                       InvariantReport* report);
 

@@ -20,7 +20,8 @@ enum class LatticeStrategy : uint8_t {
 };
 
 /// One materialized snowcap: the sub-pattern's node set, its binding layout
-/// and the full-binding relation kept up to date across updates.
+/// and the full-binding relation kept up to date across updates — in
+/// binding order (BindingOrder(layout)), which term plans rely on.
 struct MaterializedSnowcap {
   NodeSet nodes;
   BindingLayout layout;

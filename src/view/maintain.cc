@@ -42,6 +42,84 @@ bool AnyAnchorStrictlyBelow(const std::vector<DeweyId>& sorted_anchors,
   return it != sorted_anchors.end() && id.IsAncestorOf(*it);
 }
 
+/// Sorts `added` into the snowcap's binding order and merges it into the
+/// (already ordered) rows.
+void MergeInBindingOrder(std::vector<Tuple> added, MaterializedSnowcap* sc) {
+  // The snowcap's plan leaf declares its binding order; keeping it lets
+  // every term over the snowcap elide its sorts. Merge backwards in place:
+  // one binary search per added row, and only the rows after the first
+  // insertion point move.
+  const std::vector<int> order = BindingOrder(sc->layout);
+  auto less = [&order](const Tuple& a, const Tuple& b) {
+    return RowLess(a, b, order);
+  };
+  std::sort(added.begin(), added.end(), less);
+  std::vector<Tuple>& rows = sc->data.rows;
+  const size_t old_size = rows.size();
+  rows.resize(old_size + added.size());
+  auto old_end = rows.begin() + static_cast<ptrdiff_t>(old_size);
+  auto dst = rows.end();  // rows at and after dst are final
+  for (auto it = added.rbegin(); it != added.rend(); ++it) {
+    auto pos = std::upper_bound(rows.begin(), old_end, *it, less);
+    dst = std::move_backward(pos, old_end, dst);
+    old_end = pos;
+    *--dst = std::move(*it);
+  }
+}
+
+/// Re-reads from the store the val/cont payloads of row `t` for every node
+/// of `cvn` whose ID satisfies `affected` (columns per `layout`; nodes
+/// without payload columns there are skipped). Returns true iff any was
+/// re-read. store->Val/Cont: the anchors were invalidated right after the
+/// PUL applied, so this recomputes once and the other views' passes over
+/// the same node hit the cache.
+template <typename Affected>
+bool RefreshPayloads(StoreIndex* store, const std::vector<NodeLayout>& layout,
+                     const std::vector<int>& cvn, const Affected& affected,
+                     Tuple* t) {
+  bool changed = false;
+  for (int node : cvn) {
+    const NodeLayout& l = layout[static_cast<size_t>(node)];
+    if (l.val_col < 0 && l.cont_col < 0) continue;
+    const DeweyId& id = (*t)[static_cast<size_t>(l.id_col)].id();
+    if (!affected(id)) continue;
+    NodeHandle h = store->doc().FindById(id);
+    if (h == kNullNode) continue;
+    if (l.val_col >= 0) {
+      (*t)[static_cast<size_t>(l.val_col)] = Value(store->Val(h));
+    }
+    if (l.cont_col >= 0) {
+      (*t)[static_cast<size_t>(l.cont_col)] = Value(store->Cont(h));
+    }
+    changed = true;
+  }
+  return changed;
+}
+
+/// Affected iff some deleted subtree hung strictly below this (surviving)
+/// node: its val/cont lost data.
+auto PayloadShrank(const DeletedRegion& region) {
+  return [&region](const DeweyId& id) {
+    return !region.Covers(id) && AnyAnchorStrictlyBelow(region.roots(), id);
+  };
+}
+
+/// The snowcap counterpart of PIMT/PDMT: without it a snowcap's val/cont
+/// columns go stale, and a later term over the snowcap copies the stale
+/// payload into the view (for a node that is not an ancestor of that
+/// term's anchors, so PIMT would not repair it).
+template <typename Affected>
+void RefreshSnowcapPayloads(StoreIndex* store, const std::vector<int>& cvn,
+                            const Affected& affected, MaterializedSnowcap* sc) {
+  const bool has_payloads = std::any_of(cvn.begin(), cvn.end(), [sc](int n) {
+    return sc->nodes[static_cast<size_t>(n)];
+  });
+  if (!has_payloads) return;
+  for (Tuple& row : sc->data.rows) {
+    RefreshPayloads(store, sc->layout.per_node, cvn, affected, &row);
+  }
+}
+
 }  // namespace
 
 MaintainedView::MaintainedView(ViewDefinition def, StoreIndex* store,
@@ -224,10 +302,10 @@ Relation MaintainedView::EvaluateTerm(const NodeSet& within,
     }
   }
   // t_R as a materialized snowcap if the lattice has one; the executor then
-  // reads it in place (never copied — a "small" term must not become linear
-  // in the auxiliary structure's size; the adaptive sort kernel passes it
-  // through whenever it is already ordered by the frontier column, and the
-  // stack-based structural join only scans outer rows up to the last Δ ID).
+  // reads it in place (a "small" term must not become linear in the
+  // auxiliary structure's size: the snowcap is kept in its binding order, so
+  // a sort by its first column is elided statically, and the stack-based
+  // structural join only scans outer rows up to the last Δ ID).
   const MaterializedSnowcap* msc = r_empty ? nullptr : lattice_.Find(r_part);
   const bool with_region = region != nullptr && !region->empty();
   const PhysicalPlan& phys =
@@ -359,63 +437,54 @@ void MaintainedView::PropagateDelete(const DeltaTables& delta_minus,
 void MaintainedView::MaintainSnowcapsInsert(const DeltaTables& delta,
                                             const DeletedRegion* region) {
   auto& snowcaps = lattice_.snowcaps();
+  const std::vector<DeweyId>& anchors = delta.anchor_ids();
+  auto affected = [&anchors](const DeweyId& id) {
+    return AnyAnchorAtOrBelow(anchors, id);
+  };
   // Descending size: each snowcap's t_R reads *smaller* snowcaps, which are
   // updated later in this loop and therefore still hold pre-update data —
   // exactly the R the union terms require.
   for (size_t idx = snowcaps.size(); idx-- > 0;) {
     MaterializedSnowcap& sc = snowcaps[idx];
+    std::vector<Tuple> added;
     for (const NodeSet& ds : snowcap_delta_sets_[idx]) {
       if (TermPruned(ds, sc.nodes, delta)) continue;
       Relation rel = EvaluateTerm(sc.nodes, ds, delta, region);
-      for (auto& row : rel.rows) sc.data.rows.push_back(std::move(row));
+      for (auto& row : rel.rows) added.push_back(std::move(row));
+    }
+    if (!added.empty()) MergeInBindingOrder(std::move(added), &sc);
+    if (!anchors.empty()) {
+      RefreshSnowcapPayloads(store_, def_.cvn(), affected, &sc);
     }
   }
 }
 
 void MaintainedView::MaintainSnowcapsDelete(const DeletedRegion& region) {
   for (auto& sc : lattice_.snowcaps()) {
-    Relation filtered;
-    filtered.schema = sc.data.schema;
-    for (auto& row : sc.data.rows) {
-      bool alive = true;
-      for (size_t i = 0; i < sc.nodes.size() && alive; ++i) {
-        if (!sc.nodes[i]) continue;
-        int col = sc.layout.per_node[i].id_col;
-        if (region.Covers(row[static_cast<size_t>(col)].id())) alive = false;
+    const std::vector<int> id_cols = BindingOrder(sc.layout);
+    // erase_if keeps the survivors' (binding) order.
+    std::erase_if(sc.data.rows, [&](const Tuple& row) {
+      for (int col : id_cols) {
+        if (region.Covers(row[static_cast<size_t>(col)].id())) return true;
       }
-      if (alive) filtered.rows.push_back(std::move(row));
-    }
-    sc.data = std::move(filtered);
+      return false;
+    });
+    RefreshSnowcapPayloads(store_, def_.cvn(), PayloadShrank(region), &sc);
   }
 }
 
 void MaintainedView::RunPimt(const DeltaTables& delta,
                              MaintenanceStats* stats) {
   if (def_.cvn().empty() || delta.anchor_ids().empty()) return;
-  const Document& doc = store_->doc();
   const std::vector<DeweyId>& anchors = delta.anchor_ids();
+  // Alg. 4: t.n = n_i or t.n ≺≺ n_i — the stored node is, or is an ancestor
+  // of, an insertion target; its val/cont absorbed new data.
+  auto affected = [&anchors](const DeweyId& id) {
+    return AnyAnchorAtOrBelow(anchors, id);
+  };
   size_t modified = view_.ModifyTuples([&](Tuple* t) {
-    bool changed = false;
-    for (int node : def_.cvn()) {
-      const NodeLayout& l = stored_node_layout_[static_cast<size_t>(node)];
-      const DeweyId& id = (*t)[static_cast<size_t>(l.id_col)].id();
-      // Alg. 4: t.n = n_i or t.n ≺≺ n_i — the stored node is, or is an
-      // ancestor of, an insertion target; its val/cont absorbed new data.
-      if (!AnyAnchorAtOrBelow(anchors, id)) continue;
-      NodeHandle h = doc.FindById(id);
-      if (h == kNullNode) continue;
-      // store_->Val/Cont: the anchors were invalidated right after the PUL
-      // applied, so this recomputes once and the other views' PIMT passes
-      // over the same node hit the cache.
-      if (l.val_col >= 0) {
-        (*t)[static_cast<size_t>(l.val_col)] = Value(store_->Val(h));
-      }
-      if (l.cont_col >= 0) {
-        (*t)[static_cast<size_t>(l.cont_col)] = Value(store_->Cont(h));
-      }
-      changed = true;
-    }
-    return changed;
+    return RefreshPayloads(store_, stored_node_layout_, def_.cvn(), affected,
+                           t);
   });
   stats->tuples_modified += modified;
 }
@@ -423,26 +492,9 @@ void MaintainedView::RunPimt(const DeltaTables& delta,
 void MaintainedView::RunPdmt(const DeletedRegion& region,
                              MaintenanceStats* stats) {
   if (def_.cvn().empty() || region.empty()) return;
-  const Document& doc = store_->doc();
   size_t modified = view_.ModifyTuples([&](Tuple* t) {
-    bool changed = false;
-    for (int node : def_.cvn()) {
-      const NodeLayout& l = stored_node_layout_[static_cast<size_t>(node)];
-      const DeweyId& id = (*t)[static_cast<size_t>(l.id_col)].id();
-      if (region.Covers(id)) continue;  // tuple is being removed anyway
-      // Affected iff some deleted subtree hung strictly below this node.
-      if (!AnyAnchorStrictlyBelow(region.roots(), id)) continue;
-      NodeHandle h = doc.FindById(id);
-      if (h == kNullNode) continue;
-      if (l.val_col >= 0) {
-        (*t)[static_cast<size_t>(l.val_col)] = Value(store_->Val(h));
-      }
-      if (l.cont_col >= 0) {
-        (*t)[static_cast<size_t>(l.cont_col)] = Value(store_->Cont(h));
-      }
-      changed = true;
-    }
-    return changed;
+    return RefreshPayloads(store_, stored_node_layout_, def_.cvn(),
+                           PayloadShrank(region), t);
   });
   stats->tuples_modified += modified;
 }

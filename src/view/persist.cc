@@ -6,6 +6,7 @@
 
 #include "common/file_io.h"
 #include "common/varint.h"
+#include "pattern/compile.h"
 
 namespace xvm {
 
@@ -186,6 +187,9 @@ Status LoadViewFromBytes(const std::string& bytes, MaintainedView* view) {
     }
     loaded[s].schema = snowcaps[s].layout.schema;
     loaded[s].rows.reserve(rows);
+    // Term plans trust the snowcap's declared order, so a file whose rows
+    // break it (or repeat a binding) must not load.
+    const std::vector<int> order = BindingOrder(snowcaps[s].layout);
     for (uint64_t r = 0; r < rows; ++r) {
       Tuple t;
       if (!GetTuple(bytes, &pos, &t)) {
@@ -193,6 +197,11 @@ Status LoadViewFromBytes(const std::string& bytes, MaintainedView* view) {
       }
       if (t.size() != loaded[s].schema.size()) {
         return Status::InvalidArgument("saved snowcap tuple width mismatch");
+      }
+      if (r > 0 && !RowLess(loaded[s].rows.back(), t, order)) {
+        return Status::InvalidArgument(
+            "saved snowcap rows out of declared order at row " +
+            std::to_string(r));
       }
       loaded[s].rows.push_back(std::move(t));
     }

@@ -258,6 +258,38 @@ TEST(AnalyzeAcceptTest, DupElimOverAlreadyKeyedInput) {
   EXPECT_TRUE(facts->SortedBy(0));
 }
 
+TEST(AnalyzeAcceptTest, SortKeepsACoveringInputOrder) {
+  // A snowcap leaf declares its binding order [a.ID b.ID]. Sorting it by
+  // a.ID leaves the rows untouched, so the stronger order survives (and
+  // lowering elides the sort); sorting by b.ID replaces it.
+  Schema schema;
+  schema.Add({"a.ID", ValueKind::kId});
+  schema.Add({"b.ID", ValueKind::kId});
+  auto snowcap = [&schema] {
+    return MakeLeaf(PlanLeafKind::kSnowcap, "snowcap:{a,b}", schema, {0, 1},
+                    {0, 1});
+  };
+  auto kept = AnalyzePlan(*MakeSortBy(snowcap(), {0}));
+  ASSERT_TRUE(kept.ok()) << kept.status().message();
+  EXPECT_EQ(kept->sort_prefix, (std::vector<int>{0, 1}));
+  auto replaced = AnalyzePlan(*MakeSortBy(snowcap(), {1}));
+  ASSERT_TRUE(replaced.ok()) << replaced.status().message();
+  EXPECT_EQ(replaced->sort_prefix, (std::vector<int>{1}));
+}
+
+TEST(AnalyzeAcceptTest, PerNodeFactsCoverEveryOperator) {
+  PlanNodePtr plan = MakeSortBy(MakeProject(Leaf("a"), {0}), {0});
+  const PlanNode* project = plan->inputs[0].get();
+  const PlanNode* leaf = project->inputs[0].get();
+  PlanFactsMap per_node;
+  auto facts = AnalyzePlan(*plan, &per_node);
+  ASSERT_TRUE(facts.ok()) << facts.status().message();
+  ASSERT_EQ(per_node.size(), 3u);
+  EXPECT_EQ(per_node.at(plan.get()).ToString(), facts->ToString());
+  EXPECT_EQ(per_node.at(project).schema.size(), 1u);
+  EXPECT_EQ(per_node.at(leaf).schema, IdValSchema("a"));
+}
+
 TEST(AnalyzeRejectTest, DiagnosticNamesThePathToTheOffender) {
   // Nest the broken project under two operators: the path must spell the
   // route from the root down to it.

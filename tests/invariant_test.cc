@@ -2,8 +2,9 @@
 // store/audit.h, view/audit.h): a healthy workbench audits clean, and each
 // deliberately injected corruption — out-of-order canonical tuple, dangling
 // relation entry, mislabeled entry, dangling Dewey parent, diverged view
-// content — is reported with a precise diagnostic. Also covers the runtime
-// gate and the abort wiring in the maintenance layer.
+// content, out-of-order snowcap — is reported with a precise diagnostic.
+// Also covers the runtime gate and the abort wiring in the maintenance
+// layer.
 
 #include <gtest/gtest.h>
 
@@ -149,6 +150,27 @@ TEST(InvariantAuditTest, ViewDivergenceReported) {
       << report.ToString();
 }
 
+TEST(InvariantAuditTest, SnowcapOutOfOrderReported) {
+  Workbench wb;
+  auto pattern = TreePattern::Parse("//a{id}(/b{id})");
+  ASSERT_TRUE(pattern.ok());
+  auto def = ViewDefinition::FromPattern("v", std::move(pattern).value());
+  ASSERT_TRUE(def.ok());
+  MaintainedView mv(std::move(def).value(), &wb.store,
+                    LatticeStrategy::kSnowcaps);
+  mv.Initialize();
+  auto& rows = mv.mutable_lattice().snowcaps().at(0).data.rows;
+  ASSERT_EQ(rows.size(), 2u);
+  std::swap(rows[0], rows[1]);
+  InvariantReport report;
+  AuditViewContent(mv, wb.store, &report);
+  ASSERT_TRUE(report.Has("view.snowcap_matches_recompute"))
+      << report.ToString();
+  EXPECT_NE(report.ToString().find("snowcap {a} diverges"), std::string::npos)
+      << report.ToString();
+  EXPECT_FALSE(report.Has("view.matches_recompute")) << report.ToString();
+}
+
 TEST(InvariantAuditTest, RuntimeGateOverridesAndRestores) {
   const bool initial = InvariantAuditingEnabled();
   {
@@ -182,6 +204,32 @@ TEST(InvariantAuditDeathTest, ManagerAbortsOnCorruptStore) {
         (void)out;  // NOLINT(xvm-status): unreachable, the audit aborts
       },
       "store.document_order|exec.leaf_contract");
+}
+
+TEST(InvariantAuditDeathTest, ManagerAbortsOnSnowcapOutOfOrder) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Workbench wb;
+  ViewManager mgr(&wb.doc, &wb.store);
+  auto pattern = TreePattern::Parse("//a{id}(/b{id})");
+  ASSERT_TRUE(pattern.ok());
+  auto def = ViewDefinition::FromPattern("v", std::move(pattern).value());
+  ASSERT_TRUE(def.ok());
+  ASSERT_TRUE(
+      mgr.AddView(std::move(def).value(), LatticeStrategy::kSnowcaps).ok());
+  // Snowcap {a} holds both a's; swapping them breaks its declared order
+  // without changing its content.
+  auto& snowcaps = mgr.mutable_view(0).mutable_lattice().snowcaps();
+  ASSERT_EQ(snowcaps.size(), 1u);
+  ASSERT_EQ(snowcaps[0].data.size(), 2u);
+  std::swap(snowcaps[0].data.rows[0], snowcaps[0].data.rows[1]);
+  EXPECT_DEATH(
+      {
+        ScopedInvariantAuditing on(true);
+        // Touches no term over the snowcap: only the auditor can notice.
+        auto out = mgr.ApplyAndPropagateAll(UpdateStmt::Delete("//d"));
+        (void)out;  // NOLINT(xvm-status): unreachable, the audit aborts
+      },
+      "view.snowcap_matches_recompute");
 }
 
 }  // namespace

@@ -134,6 +134,24 @@ TEST(PersistTest, RejectsCorruptedBytes) {
   EXPECT_FALSE(LoadViewFromBytes(trailing, dst.view.get()).ok());
 }
 
+// Term plans elide sorts over a snowcap on the strength of its declared
+// binding order, so a file whose snowcap rows break that order (written by
+// a build that appended maintained rows unsorted, or crafted) must not
+// load; Recover then recomputes the view instead.
+TEST(PersistTest, RejectsSnowcapRowsOutOfOrder) {
+  Fixture src = Make("Q1", LatticeStrategy::kSnowcaps);
+  src.view->Initialize();
+  MaterializedSnowcap& sc = src.view->mutable_lattice().snowcaps().back();
+  ASSERT_GE(sc.data.size(), 2u);
+  std::swap(sc.data.rows[0], sc.data.rows[1]);
+
+  Fixture dst = Make("Q1", LatticeStrategy::kSnowcaps);
+  Status st = LoadViewFromBytes(SaveViewToBytes(*src.view), dst.view.get());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("out of declared order"), std::string::npos)
+      << st.ToString();
+}
+
 // Corruption fuzz: every truncation length and hundreds of single-bit flips
 // must be rejected with InvalidArgument — never loaded silently, never
 // crashed on. The format's trailing content checksum is what catches flips
