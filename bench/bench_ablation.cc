@@ -1,18 +1,12 @@
-// Ablation studies for the design choices behind the maintenance engine
-// (not paper figures; they quantify the ingredients the paper credits):
+// Ablation study for a design choice behind the maintenance engine (not a
+// paper figure; it quantifies an ingredient the paper credits):
 //
 //  A. Term pruning (Props. 3.6 / 3.8 / 4.7): propagation time with both
 //     data-driven pruning rules on, each alone, and both off.
-//  B. Pattern evaluation strategy: per-edge structural-join pipeline vs
-//     holistic twig (PathStack + merge) on the XMark views.
-//  C. Snowcap choice: cost-based (§3.5 future work, view/costmodel.h) vs
-//     the paper's one-per-level chain vs leaves-only, under an update
-//     profile the chooser was given.
+//
+// The snowcap chain vs leaves-only comparison is bench_fig29_32_snowcaps.
 
 #include "bench_util.h"
-
-#include "pattern/twig.h"
-#include "view/costmodel.h"
 
 namespace xvm::bench {
 namespace {
@@ -66,94 +60,10 @@ void AblatePruning() {
   }
 }
 
-void AblateEvalStrategy() {
-  PrintBanner("Ablation B",
-              "Pattern evaluation: structural-join pipeline vs holistic "
-              "twig (full view evaluation, 1 MB)");
-  const size_t bytes = ScaledBytes(1024);
-  Workbench wb = MakeXMark(bytes, 7);
-  std::printf("%-6s %14s %14s %10s\n", "view", "joins_ms", "twig_ms",
-              "tuples");
-  for (const auto& name : XMarkViewNames()) {
-    auto def = XMarkView(name);
-    XVM_CHECK(def.ok());
-    const TreePattern& pat = def->pattern();
-    LeafSource src = StoreLeafSource(wb.store.get(), &pat);
-    double joins_ms = 0, twig_ms = 0;
-    size_t tuples = 0;
-    for (int rep = 0; rep < Reps(); ++rep) {
-      WallTimer t1;
-      Relation a = EvalTreePattern(pat, src, nullptr);
-      joins_ms += t1.ElapsedMs();
-      WallTimer t2;
-      Relation b = EvalTreePatternTwig(pat, src, nullptr);
-      twig_ms += t2.ElapsedMs();
-      XVM_CHECK(a.size() == b.size());
-      tuples = a.size();
-    }
-    std::printf("%-6s %14.3f %14.3f %10zu\n", name.c_str(), joins_ms / Reps(),
-                twig_ms / Reps(), tuples);
-  }
-}
-
-void AblateSnowcapChoice() {
-  PrintBanner("Ablation C",
-              "Snowcap choice: cost-based vs per-level chain vs leaves "
-              "(view Q1, X1_L-shaped update stream, 1 MB)");
-  const size_t bytes = ScaledBytes(1024);
-  auto u = FindXMarkUpdate("X1_L");
-  XVM_CHECK(u.ok());
-
-  // The update profile the statement stream follows: name-heavy inserts.
-  UpdateProfile profile;
-  profile.Set("name", 5.0);
-
-  struct Arm {
-    const char* name;
-    int mode;  // 0 = cost-based, 1 = chain, 2 = leaves
-  };
-  std::printf("%-12s %14s %14s %12s\n", "arm", "propagate_ms",
-              "lattice_tuples", "snowcaps");
-  for (const Arm& arm : {Arm{"cost_based", 0}, Arm{"chain", 1},
-                         Arm{"leaves", 2}}) {
-    double ms = 0;
-    size_t lattice_tuples = 0, snowcap_count = 0;
-    for (int rep = 0; rep < Reps(); ++rep) {
-      Workbench wb = MakeXMark(bytes, 7);
-      auto def = XMarkView("Q1");
-      XVM_CHECK(def.ok());
-      ViewManager mgr(wb.doc.get(), wb.store.get());
-      if (arm.mode == 0) {
-        auto chosen =
-            ChooseSnowcaps(def->pattern(), *wb.store, profile, 4);
-        XVM_CHECK(mgr.AddView(std::move(def).value(), std::move(chosen)).ok());
-      } else {
-        XVM_CHECK(mgr.AddView(std::move(def).value(),
-                              arm.mode == 1 ? LatticeStrategy::kSnowcaps
-                                            : LatticeStrategy::kLeaves)
-                      .ok());
-      }
-      for (int i = 0; i < 3; ++i) {
-        auto out = mgr.ApplyAndPropagateAll(MakeInsertStmt(*u));
-        XVM_CHECK(out.ok());
-        const PhaseTimer& t = out->per_view[0].timing;
-        ms += t.Get(phase::kGetExpression) + t.Get(phase::kExecuteUpdate) +
-              t.Get(phase::kUpdateLattice);
-      }
-      lattice_tuples = mgr.view(0).lattice().TotalTuples();
-      snowcap_count = mgr.view(0).lattice().snowcaps().size();
-    }
-    std::printf("%-12s %14.3f %14zu %12zu\n", arm.name, ms / Reps(),
-                lattice_tuples, snowcap_count);
-  }
-}
-
 }  // namespace
 }  // namespace xvm::bench
 
 int main() {
   xvm::bench::AblatePruning();
-  xvm::bench::AblateEvalStrategy();
-  xvm::bench::AblateSnowcapChoice();
   return 0;
 }

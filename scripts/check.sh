@@ -25,7 +25,10 @@
 #   8. TSan re-run of the snapshot-serving suite: concurrent reader threads
 #      race the maintenance coordinator through the RCU publication slot,
 #      and every observed snapshot is replay-verified against a recompute.
-#   9. End-to-end benchmark self-test (perfbench/tests/selftest.py): builds
+#   9. Bench and example smoke run: every bench_* and example_* binary of
+#      the ASan build runs once on a tiny document and must exit 0 (the
+#      benches XVM_CHECK-abort on any error).
+#  10. End-to-end benchmark self-test (perfbench/tests/selftest.py): builds
 #      perfbench/ — whose traced replica compiles against the engine's
 #      headers — and runs each workload for 1 s on a 64 KB document,
 #      checking that the replica stays bit-identical to the ViewManager and
@@ -159,6 +162,23 @@ XVM_CHECK_INVARIANTS=1 \
   ctest --test-dir build-asan \
         -R 'CrashMatrix|Durability|WalTest|WalCodec|PersistSaveFailure|PersistAdversarial|DocSnapshot' \
         --output-on-failure -j "$JOBS"
+
+step "bench + example smoke (address sanitizer, tiny documents)"
+# Nothing else runs these binaries; each must finish cleanly at smoke size
+# within 10 minutes. They run from a scratch cwd with the build's invariant
+# auditor default (on, -DXVM_CHECK_INVARIANTS=ON).
+smoke_dir="$(mktemp -d)"
+for bin in build-asan/bench/bench_* build-asan/examples/example_*; do
+  [[ -f "$bin" && -x "$bin" ]] || continue
+  echo "-- $bin"
+  if ! (cd "$smoke_dir" && XVM_SCALE=0.02 XVM_REPS=1 XVM_WORKERS=2 \
+        timeout 600 "$ROOT/$bin" >/dev/null); then
+    echo "error: $bin failed" >&2
+    rm -rf "$smoke_dir"
+    exit 1
+  fi
+done
+rm -rf "$smoke_dir"
 
 run_config thread build-tsan
 

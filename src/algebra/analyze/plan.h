@@ -40,9 +40,11 @@ enum class PlanLeafKind : uint8_t {
   kLiteral,
 };
 
-/// Static mirror of the expr.h predicate atoms. expr.h predicates are
-/// opaque evaluation closures; the plan carries this analyzable form so the
-/// analyzer can check column ranges and attribute kinds.
+/// One selection atom of the paper's algebra A (§2.2): a value comparison
+/// with a constant, or =, ≺, ≺≺ between two columns, plus the two
+/// maintenance-only atoms below. It is the only predicate form: the
+/// executor and symexec evaluate it, and the analyzer checks its column
+/// ranges and attribute kinds.
 struct PlanPredicate {
   enum class Kind : uint8_t {
     kEqConst,     // t[a] = "constant"   (string column)

@@ -29,15 +29,6 @@ Relation ScanRelation(const StoreIndex& store, LabelId label,
   return out;
 }
 
-Relation Select(const Relation& in, const Predicate& pred) {
-  Relation out;
-  out.schema = in.schema;
-  for (const auto& row : in.rows) {
-    if (pred.Eval(row)) out.rows.push_back(row);
-  }
-  return out;
-}
-
 Relation Project(const Relation& in, const std::vector<int>& cols) {
   Relation out;
   for (int c : cols) {

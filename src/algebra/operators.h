@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "algebra/expr.h"
 #include "algebra/value.h"
 #include "common/status.h"
 #include "store/canonical.h"
@@ -28,9 +27,6 @@ struct ScanAttrs {
 /// "<name>.ID" [, "<name>.val"][, "<name>.cont"], in document order.
 Relation ScanRelation(const StoreIndex& store, LabelId label,
                       const std::string& col_prefix, const ScanAttrs& attrs);
-
-/// σ_pred: keeps rows satisfying `pred`.
-Relation Select(const Relation& in, const Predicate& pred);
 
 /// π_cols: keeps columns at `cols` (in that order).
 Relation Project(const Relation& in, const std::vector<int>& cols);

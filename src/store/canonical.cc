@@ -89,10 +89,4 @@ const CanonicalRelation& StoreIndex::Relation(LabelId label) const {
   return it == relations_.end() ? kEmpty : it->second;
 }
 
-size_t StoreIndex::TotalEntries() const {
-  size_t total = 0;
-  for (const auto& [label, rel] : relations_) total += rel.size();
-  return total;
-}
-
 }  // namespace xvm

@@ -85,9 +85,6 @@ class StoreIndex {
 
   const Document& doc() const { return *doc_; }
 
-  /// Sum of relation sizes (diagnostics).
-  size_t TotalEntries() const;
-
   /// Direct mutable access to a relation's node vector, so tests can inject
   /// deliberate corruption (out-of-order entries, dead/mislabeled nodes) and
   /// assert the invariant auditor (store/audit.h) reports it. Never used by

@@ -39,7 +39,6 @@ class DeltaTables {
   const std::vector<DeltaRow>& ForLabel(LabelId label) const;
 
   bool Empty(LabelId label) const { return ForLabel(label).empty(); }
-  bool TotallyEmpty() const { return tables_.empty(); }
 
   /// Labels with at least one row.
   std::vector<LabelId> Labels() const;

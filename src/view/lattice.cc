@@ -31,32 +31,6 @@ ViewLattice::ViewLattice(const TreePattern* pattern, LatticeStrategy strategy)
   }
 }
 
-ViewLattice::ViewLattice(const TreePattern* pattern,
-                         std::vector<NodeSet> custom)
-    : pattern_(pattern), strategy_(LatticeStrategy::kSnowcaps) {
-  for (auto& nodes : custom) {
-    XVM_CHECK(nodes.size() == pattern_->size());
-    XVM_CHECK(nodes[0]);  // contains the root
-    XVM_CHECK(NodeSetCount(nodes) < pattern_->size());  // proper subset
-    for (size_t i = 1; i < nodes.size(); ++i) {
-      if (nodes[i]) {
-        int p = pattern_->node(static_cast<int>(i)).parent;
-        XVM_CHECK(nodes[static_cast<size_t>(p)]);  // upward-closed
-      }
-    }
-    MaterializedSnowcap sc;
-    sc.nodes = std::move(nodes);
-    sc.layout = ComputeBindingLayout(*pattern_, &sc.nodes);
-    snowcaps_.push_back(std::move(sc));
-  }
-  // Ascending size, as the chain constructor guarantees (maintenance
-  // iterates descending to read pre-update data).
-  std::sort(snowcaps_.begin(), snowcaps_.end(),
-            [](const MaterializedSnowcap& a, const MaterializedSnowcap& b) {
-              return NodeSetCount(a.nodes) < NodeSetCount(b.nodes);
-            });
-}
-
 void ViewLattice::Materialize(const StoreIndex& store) {
   for (auto& sc : snowcaps_) {
     sc.data = EvalTreePattern(*pattern_, StoreLeafSource(&store, pattern_),

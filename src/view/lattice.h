@@ -32,15 +32,13 @@ struct MaterializedSnowcap {
 /// the chain s_1 ⊂ s_2 ⊂ ... ⊂ s_{k-1} (s_i has i nodes; each s_{i+1} adds
 /// the first pre-order node whose parent is already in s_i) — the paper's
 /// "one snowcap at each level, pick the first" choice (§6.7). With kLeaves
-/// nothing is materialized.
+/// nothing is materialized. These two are the only lattices a view can
+/// have, and the delta prover (ProveDeltaEquivalence) checks both; the
+/// paper leaves a cost-based snowcap choice to future work (§3.5).
 class ViewLattice {
  public:
   ViewLattice() = default;
   ViewLattice(const TreePattern* pattern, LatticeStrategy strategy);
-
-  /// Materializes exactly the given snowcaps (each an upward-closed proper
-  /// subset containing the root) — used by the §3.5 cost-based chooser.
-  ViewLattice(const TreePattern* pattern, std::vector<NodeSet> custom);
 
   LatticeStrategy strategy() const { return strategy_; }
 

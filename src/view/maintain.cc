@@ -128,19 +128,6 @@ MaintainedView::MaintainedView(ViewDefinition def, StoreIndex* store,
       store_(store),
       lattice_(&def_.pattern(), strategy),
       view_(def_.tuple_schema()) {
-  PrecomputeTermSets();
-}
-
-MaintainedView::MaintainedView(ViewDefinition def, StoreIndex* store,
-                               std::vector<NodeSet> snowcaps)
-    : def_(std::move(def)),
-      store_(store),
-      lattice_(&def_.pattern(), std::move(snowcaps)),
-      view_(def_.tuple_schema()) {
-  PrecomputeTermSets();
-}
-
-void MaintainedView::PrecomputeTermSets() {
   const TreePattern& pat = def_.pattern();
   delta_sets_ = EnumerateDeltaSets(pat);
   for (const auto& sc : lattice_.snowcaps()) {

@@ -65,11 +65,6 @@ class MaintainedView {
   MaintainedView(ViewDefinition def, StoreIndex* store,
                  LatticeStrategy strategy);
 
-  /// Materializes exactly the given snowcaps (e.g. from the §3.5 cost-based
-  /// chooser, view/costmodel.h).
-  MaintainedView(ViewDefinition def, StoreIndex* store,
-                 std::vector<NodeSet> snowcaps);
-
   void set_options(const MaintainOptions& options) { options_ = options; }
   const MaintainOptions& options() const { return options_; }
 
@@ -138,7 +133,6 @@ class MaintainedView {
  private:
   friend class TermEvaluationProbe;  // test access
 
-  void PrecomputeTermSets();
   bool TermPruned(const NodeSet& delta_set, const NodeSet& within,
                   const DeltaTables& delta) const;
   Relation EvaluateTerm(const NodeSet& within, const NodeSet& delta_set,

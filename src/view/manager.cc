@@ -95,17 +95,8 @@ Status DecodeManifest(const std::string& bytes, Manifest* m) {
 
 StatusOr<size_t> ViewManager::AddView(ViewDefinition def,
                                       LatticeStrategy strategy) {
-  return Register(
-      std::make_unique<MaintainedView>(std::move(def), store_, strategy));
-}
-
-StatusOr<size_t> ViewManager::AddView(ViewDefinition def,
-                                      std::vector<NodeSet> snowcaps) {
-  return Register(std::make_unique<MaintainedView>(std::move(def), store_,
-                                                   std::move(snowcaps)));
-}
-
-StatusOr<size_t> ViewManager::Register(std::unique_ptr<MaintainedView> view) {
+  auto view =
+      std::make_unique<MaintainedView>(std::move(def), store_, strategy);
   XVM_RETURN_IF_ERROR(view->CheckPlans());
   // A new view is evaluated over the store, which must first catch up with
   // the document.

@@ -107,7 +107,6 @@ class ViewManager {
   /// inference or order-property verification is rejected with
   /// InvalidArgument and not registered.
   StatusOr<size_t> AddView(ViewDefinition def, LatticeStrategy strategy);
-  StatusOr<size_t> AddView(ViewDefinition def, std::vector<NodeSet> snowcaps);
 
   size_t size() const { return views_.size(); }
   const MaintainedView& view(size_t i) const { return *views_[i]; }
@@ -214,8 +213,6 @@ class ViewManager {
     std::vector<NodeHandle> deleted_nodes;
   };
 
-  /// Checks, initializes and publishes a new view (both AddView overloads).
-  StatusOr<size_t> Register(std::unique_ptr<MaintainedView> view);
   /// Shared tail of the stage half (Defer, ApplyOpsAndPropagateAll): Δ−
   /// from `pul`'s deletes, the document update (`pul`, or `ops` when
   /// non-null), cache invalidation, Δ+; queues the entry.

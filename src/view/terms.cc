@@ -68,27 +68,6 @@ std::vector<NodeSet> EnumerateDeltaSets(const TreePattern& pattern) {
   return out;
 }
 
-std::vector<NodeSet> EnumerateSnowcaps(const TreePattern& pattern) {
-  const size_t k = pattern.size();
-  XVM_CHECK(k >= 1 && k <= 20);
-  std::vector<NodeSet> out;
-  for (uint32_t mask = 1; mask < (1u << k); ++mask) {
-    if ((mask & 1u) == 0) continue;  // must contain the root (node 0)
-    bool up_closed = true;
-    for (size_t i = 1; i < k && up_closed; ++i) {
-      if (((mask >> i) & 1u) == 0) continue;
-      int p = pattern.node(static_cast<int>(i)).parent;
-      if (((mask >> p) & 1u) == 0) up_closed = false;
-    }
-    if (!up_closed) continue;
-    NodeSet s(k, false);
-    for (size_t i = 0; i < k; ++i) s[i] = ((mask >> i) & 1u) != 0;
-    out.push_back(std::move(s));
-  }
-  SortBySize(&out);
-  return out;
-}
-
 std::vector<NodeSet> EnumerateDeltaSetsWithin(const TreePattern& pattern,
                                               const NodeSet& within) {
   const size_t k = pattern.size();

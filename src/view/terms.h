@@ -26,11 +26,6 @@ std::string NodeSetToString(const TreePattern& pattern, const NodeSet& s);
 /// step performed once when the view is created (Algorithm 1).
 std::vector<NodeSet> EnumerateDeltaSets(const TreePattern& pattern);
 
-/// Enumerates every snowcap of the pattern (Def. 3.11): the non-empty
-/// upward-closed connected subsets containing the root, including the full
-/// pattern. Ordered by ascending size, then lexicographically.
-std::vector<NodeSet> EnumerateSnowcaps(const TreePattern& pattern);
-
 /// Like EnumerateDeltaSets but restricted to the sub-pattern induced by
 /// `within` (an upward-closed set): descendant-closure is relative to the
 /// edges present inside `within`. Used to maintain materialized snowcaps

@@ -46,15 +46,6 @@ TEST(SchemaTest, IndexOfAndConcat) {
   EXPECT_EQ(c.IndexOf("y.ID"), 2);
 }
 
-TEST(OperatorsTest, SelectByConst) {
-  Relation r;
-  r.schema.Add({"v", ValueKind::kString});
-  r.rows = {{Value(std::string("a"))}, {Value(std::string("b"))}};
-  Relation out = Select(r, *ColEqualsConst(0, "a"));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out.rows[0][0].str(), "a");
-}
-
 TEST(OperatorsTest, ProjectReordersColumns) {
   Relation r;
   r.schema.Add({"a", ValueKind::kInt});

@@ -1,10 +1,11 @@
 // Physical executor tests (algebra/exec/): per-kernel property tests pin
 // every lowered kernel to a naive in-test reference AND to the independent
 // symbolic reference evaluator (algebra/analyze/symexec.h) on randomized
-// relations; differential suites then prove executor ≡ symexec ≡ the twig
-// oracle on compiler-emitted plans; metrics tests assert that static sort
-// elision actually happens and surfaces under the "__exec__" pseudo-view;
-// and a fuzz leg drives executor vs symexec vs recompute under random
+// relations; differential suites then prove executor ≡ symexec on
+// compiler-emitted plans, and executor ≡ the navigational evaluator on
+// whole views (the XMark views and fixed edge-case shapes); metrics tests
+// assert that static sort elision actually happens and surfaces under the
+// "__exec__" pseudo-view; and a fuzz leg drives executor vs symexec vs recompute under random
 // update streams with the invariant auditor on.
 
 #include <algorithm>
@@ -20,13 +21,16 @@
 #include "algebra/exec/exec.h"
 #include "algebra/exec/physical.h"
 #include "algebra/operators.h"
+#include "baseline/recompute.h"
 #include "common/invariant.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "pattern/compile.h"
-#include "pattern/twig.h"
 #include "view/maintain.h"
 #include "view/manager.h"
+#include "xmark/generator.h"
+#include "xmark/views.h"
+#include "xml/parser.h"
 
 namespace xvm {
 namespace {
@@ -423,8 +427,8 @@ TEST(ExecKernelTest, UnionAllMatchesConcatenation) {
 
 // ---------------------------------------------------------------------------
 // Differential parity on compiler-emitted plans: the production wrappers
-// (which now run the physical executor) vs the symbolic reference evaluator
-// vs the holistic twig oracle, bit-identically.
+// (which now run the physical executor) vs the symbolic reference evaluator,
+// bit-identically.
 
 constexpr const char* kLabels[] = {"a", "b", "c", "d", "e"};
 constexpr size_t kNumLabels = 5;
@@ -491,7 +495,7 @@ StatusOr<Relation> SymexecPatternPlan(const PlanNode& plan,
 
 class ExecDifferentialTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(ExecDifferentialTest, ExecutorEqualsSymexecEqualsTwigOnRandomPatterns) {
+TEST_P(ExecDifferentialTest, ExecutorEqualsSymexecOnRandomPatterns) {
   ScopedInvariantAuditing audit(true);
   Rng rng(static_cast<uint64_t>(GetParam()) * 2654435761 + 23);
   Document doc;
@@ -503,16 +507,13 @@ TEST_P(ExecDifferentialTest, ExecutorEqualsSymexecEqualsTwigOnRandomPatterns) {
     TreePattern pat = RandomPattern(&rng);
     LeafSource src = StoreLeafSource(&store, &pat);
 
-    // Binding relation: executor (via the production wrapper) vs symexec vs
-    // the holistic twig evaluator.
+    // Binding relation: executor (via the production wrapper) vs symexec.
     Relation exec_out = EvalTreePattern(pat, src);
     PlanNodePtr plan =
         BuildPatternPlan(pat, nullptr, PlanLeafSourceKind::kStore);
     auto sym_out = SymexecPatternPlan(*plan, src);
     ASSERT_TRUE(sym_out.ok()) << sym_out.status().ToString();
     ExpectSameRelation(exec_out, *sym_out, "pattern " + pat.ToString());
-    Relation twig_out = EvalTreePatternTwig(pat, src);
-    ExpectSameRelation(exec_out, twig_out, "twig " + pat.ToString());
 
     // View semantics with derivation counts.
     std::vector<CountedTuple> exec_counts = EvalViewWithCounts(pat, src);
@@ -535,6 +536,91 @@ TEST_P(ExecDifferentialTest, ExecutorEqualsSymexecEqualsTwigOnRandomPatterns) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecDifferentialTest, ::testing::Range(1, 13));
+
+// ---------------------------------------------------------------------------
+// Oracle parity on fixed inputs: the seven XMark views on a generated
+// document, plus small documents for shapes random patterns rarely reach.
+// The executor's counted view must equal the navigational evaluator's, and
+// each chain snowcap's bindings must equal symexec over the same
+// compiler-emitted plan.
+
+void ExpectExecutorMatchesOracles(const ViewDefinition& def,
+                                  const StoreIndex& store,
+                                  const std::string& where) {
+  const TreePattern& pat = def.pattern();
+  LeafSource src = StoreLeafSource(&store, &pat);
+  std::vector<CountedTuple> got = EvalViewWithCounts(pat, src);
+  std::vector<CountedTuple> nav = NavigationalViewEval(def, store.doc());
+  ASSERT_EQ(got.size(), nav.size()) << where;
+  for (size_t i = 0; i < nav.size(); ++i) {
+    ASSERT_EQ(got[i].tuple, nav[i].tuple) << where << " row " << i;
+    ASSERT_EQ(got[i].count, nav[i].count) << where << " row " << i;
+  }
+  ViewLattice chain(&pat, LatticeStrategy::kSnowcaps);
+  for (const MaterializedSnowcap& sc : chain.snowcaps()) {
+    const std::string at =
+        where + " snowcap of " + std::to_string(NodeSetCount(sc.nodes));
+    Relation exec_out = EvalTreePattern(pat, src, &sc.nodes);
+    PlanNodePtr plan =
+        BuildPatternPlan(pat, &sc.nodes, PlanLeafSourceKind::kStore);
+    auto sym_out = SymexecPatternPlan(*plan, src);
+    ASSERT_TRUE(sym_out.ok()) << at << ": " << sym_out.status().ToString();
+    ExpectSameRelation(exec_out, *sym_out, at);
+  }
+}
+
+TEST(ExecOracleTest, XMarkViewsAndFixedShapesMatchNavigationalAndSymexec) {
+  ScopedInvariantAuditing audit(true);
+  Document xmark;
+  GenerateXMark(XMarkConfig{50 * 1024, 13}, &xmark);
+  StoreIndex xmark_store(&xmark);
+  xmark_store.Build();
+  for (const auto& name : XMarkViewNames()) {
+    auto def = XMarkView(name);
+    ASSERT_TRUE(def.ok()) << name;
+    ExpectExecutorMatchesOracles(*def, xmark_store, name);
+  }
+
+  struct Shape {
+    const char* xml;
+    const char* dsl;
+  };
+  const Shape shapes[] = {
+      // Empty streams: a label the document lacks, as leaf and as root.
+      {"<r><a/></r>", "//a{id}(//zzz{id})"},
+      {"<r><a/></r>", "//zzz{id}(//a{id})"},
+      // Root-anchored, with the anchor label nested below itself.
+      {"<a><a><b/></a><b/></a>", "/a{id}(//b{id})"},
+      // Nested same labels on one descendant path.
+      {"<r><b><d><b/><d><b/></d></d></b><b/></r>",
+       "//b{id}(//d{id}(//b{id}))"},
+      // Child-axis edges next to descendant-only matches.
+      {"<a><b><c/></b><c/><x><c/></x></a>", "//a{id}(/c{id})"},
+      {"<a><b><c/></b><c/><x><c/></x></a>", "//a{id}(/b{id}(/c{id}))"},
+      // Branching chains (the Figure 6 shape).
+      {"<r><a><b><c/></b></a><a><b/></a><c/></r>",
+       "//a{id}(//b{id}(//c{id}))"},
+      {"<r><a><b/><c/></a><a><b/></a><a><c/><b><c/></b></a></r>",
+       "//a{id}(//b{id},//c{id})"},
+      {"<r><a><b><c/></b><d/></a><a><d/></a><a><b><c/><c/></b><d/><d/></a>"
+       "</r>",
+       "//a{id}(//b{id}(//c{id}),//d{id})"},
+      // Value predicates and val/cont annotations.
+      {"<r><a>5<b>x</b></a><a>7<b>y</b></a><a>5</a></r>",
+       "//a{id}[val=\"5\"](//b{id,val})"},
+      {"<r><a>5<b>x</b></a><a>7<b>y</b></a><a>5</a></r>",
+       "//a{id,val,cont}(//b{id})"},
+  };
+  for (const Shape& shape : shapes) {
+    Document doc;
+    ASSERT_TRUE(ParseDocument(shape.xml, &doc).ok()) << shape.xml;
+    StoreIndex store(&doc);
+    store.Build();
+    auto def = ViewDefinition::Create("shape", shape.dsl);
+    ASSERT_TRUE(def.ok()) << shape.dsl << ": " << def.status().ToString();
+    ExpectExecutorMatchesOracles(*def, store, shape.dsl);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Elision metrics: lowering compiler-emitted plans must statically elide

@@ -296,5 +296,38 @@ TEST(ViewManagerTest, OpSequenceRefusedWhileDurable) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(MaintainOptionsTest, DisabledPruningStillCorrect) {
+  Document doc;
+  GenerateXMark(XMarkConfig{25 * 1024, 31}, &doc);
+  StoreIndex store(&doc);
+  store.Build();
+  auto def = XMarkView("Q2");
+  ASSERT_TRUE(def.ok());
+  ViewManager mgr(&doc, &store);
+  ASSERT_TRUE(mgr.AddView(*def, LatticeStrategy::kSnowcaps).ok());
+  MaintainOptions opts;
+  opts.prune_empty_delta = false;
+  opts.prune_anchor_paths = false;
+  mgr.mutable_view(0).set_options(opts);
+  const MaintainedView& mv = mgr.view(0);
+  auto u = FindXMarkUpdate("X2_L");
+  ASSERT_TRUE(u.ok());
+  auto out = mgr.ApplyAndPropagateAll(MakeInsertStmt(*u));
+  ASSERT_TRUE(out.ok());
+  // Without pruning, every update-independent term gets evaluated.
+  const MaintenanceStats& stats = out->per_view[0].stats;
+  EXPECT_EQ(stats.terms_pruned_data, 0u);
+  EXPECT_EQ(stats.terms_evaluated, stats.terms_considered);
+
+  const TreePattern& pat = def->pattern();
+  auto truth = EvalViewWithCounts(pat, StoreLeafSource(&store, &pat));
+  auto got = mv.view().Snapshot();
+  ASSERT_EQ(got.size(), truth.size());
+  for (size_t i = 0; i < truth.size(); ++i) {
+    EXPECT_EQ(got[i].tuple, truth[i].tuple);
+    EXPECT_EQ(got[i].count, truth[i].count);
+  }
+}
+
 }  // namespace
 }  // namespace xvm

@@ -25,14 +25,19 @@ TEST(TermsTest, DeltaSetsOfChainAreSuffixes) {
   EXPECT_EQ(sets[2], Bits({0, 1, 2}, 3));
 }
 
-TEST(TermsTest, SnowcapsOfChainArePrefixes) {
-  auto p = TreePattern::Parse("//a{id}(//b{id}(//c{id}))");
-  ASSERT_TRUE(p.ok());
-  auto caps = EnumerateSnowcaps(*p);
-  ASSERT_EQ(caps.size(), 3u);
-  EXPECT_EQ(caps[0], Bits({0}, 3));
-  EXPECT_EQ(caps[1], Bits({0, 1}, 3));
-  EXPECT_EQ(caps[2], Bits({0, 1, 2}, 3));
+/// Each non-full Δ-set's complement (its term's R-part) is a proper
+/// snowcap (Def. 3.11): it contains the root and is upward-closed. With the
+/// full set, whose R-part is empty, the Δ-sets are one per snowcap.
+void ExpectComplementsAreSnowcaps(const TreePattern& p,
+                                  const std::vector<NodeSet>& sets) {
+  for (const auto& s : sets) {
+    if (NodeSetCount(s) == p.size()) continue;
+    EXPECT_FALSE(s[0]);
+    for (size_t i = 1; i < p.size(); ++i) {
+      const int parent = p.node(static_cast<int>(i)).parent;
+      if (!s[i]) EXPECT_FALSE(s[static_cast<size_t>(parent)]);
+    }
+  }
 }
 
 TEST(TermsTest, Figure6ViewSnowcaps) {
@@ -40,8 +45,6 @@ TEST(TermsTest, Figure6ViewSnowcaps) {
   // — 6 of them (boxed nodes in the figure plus the full pattern).
   auto p = TreePattern::Parse("//a{id}(//b{id}(//c{id}),//d{id})");
   ASSERT_TRUE(p.ok());
-  auto caps = EnumerateSnowcaps(*p);
-  EXPECT_EQ(caps.size(), 6u);
   // Delta sets are their complements minus empty, plus the full set.
   auto sets = EnumerateDeltaSets(*p);
   EXPECT_EQ(sets.size(), 6u);  // d, c, cd, bc, bcd, abcd
@@ -50,15 +53,17 @@ TEST(TermsTest, Figure6ViewSnowcaps) {
     if (s[1]) { EXPECT_TRUE(s[2]); }
     if (s[0]) { EXPECT_TRUE(s[1] && s[2] && s[3]); }
   }
+  ExpectComplementsAreSnowcaps(*p, sets);
 }
 
 TEST(TermsTest, Figure7ViewSnowcapCount) {
   // v2 = //a[//b][//c]//d (Figure 7 shape): every subset containing the
-  // root is upward-closed => 2^3 = 8 snowcaps.
+  // root is upward-closed => 2^3 = 8 snowcaps, so 8 Δ-sets.
   auto p = TreePattern::Parse("//a{id}(//b{id},//c{id},//d{id})");
   ASSERT_TRUE(p.ok());
-  EXPECT_EQ(EnumerateSnowcaps(*p).size(), 8u);
-  EXPECT_EQ(EnumerateDeltaSets(*p).size(), 8u);
+  auto sets = EnumerateDeltaSets(*p);
+  EXPECT_EQ(sets.size(), 8u);
+  ExpectComplementsAreSnowcaps(*p, sets);
 }
 
 TEST(TermsTest, DeltaSetsWithinSubLattice) {

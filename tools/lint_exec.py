@@ -7,13 +7,9 @@ lowered PhysicalPlan and call ExecutePhysicalPlan. Hand-rolled operator
 pipelines — the pre-executor EvalNodeRec style of calling join/sort/scan
 kernels directly — silently bypass fact-driven kernel selection, the
 __exec__ metrics and the executor's invariant audits, so this lint
-forbids direct calls to the relational kernels outside the layers that
-legitimately own them:
-
-  src/algebra/         the kernels themselves, the analyzer, the
-                       symbolic-execution oracle and the executor
-  src/pattern/twig.cc  the independent reference twig evaluator kept as
-                       a cross-validation oracle against the executor
+forbids direct calls to the relational kernels outside src/algebra/,
+the one layer that owns them: the kernels themselves, the analyzer, the
+symbolic-execution oracle and the executor.
 
 Forbidden call names (harvested from src/algebra/operators.h):
   StructuralJoin HashJoinEq CartesianProduct SortBy IsSortedByIdCol
@@ -37,9 +33,6 @@ SCAN_DIRS = ("src", "examples")
 ALLOWED_PREFIXES = (
     os.path.join("src", "algebra") + os.sep,
 )
-ALLOWED_FILES = {
-    os.path.join("src", "pattern", "twig.cc"),
-}
 SUPPRESS = "NOLINT(xvm-exec)"
 
 FORBIDDEN = (
@@ -107,7 +100,7 @@ def main():
     scanned = 0
     for path in iter_source_files(root):
         rel = os.path.relpath(path, root)
-        if rel.startswith(ALLOWED_PREFIXES) or rel in ALLOWED_FILES:
+        if rel.startswith(ALLOWED_PREFIXES):
             continue
         try:
             with open(path, encoding="utf-8") as f:
