@@ -94,7 +94,7 @@ int main() {
     const MaintainedView& view = mgr.view(v);
     const TreePattern& pat = view.def().pattern();
     auto truth = EvalViewWithCounts(pat, StoreLeafSource(&store, &pat));
-    auto got = view.view().Snapshot();
+    const ViewContent& got = view.view().content();
     bool ok = truth.size() == got.size();
     for (size_t i = 0; ok && i < truth.size(); ++i) {
       ok = truth[i].tuple == got[i].tuple && truth[i].count == got[i].count;

@@ -25,7 +25,7 @@ namespace {
 
 void Show(const MaintainedView& mv, const char* moment) {
   std::printf("== %s: %zu result tuple(s) ==\n", moment, mv.view().size());
-  for (const auto& ct : mv.view().Snapshot()) {
+  for (const CountedTuple& ct : mv.view().content()) {
     std::printf("  pid=%s aid=%s acont=%s\n", ct.tuple[0].ToString().c_str(),
                 ct.tuple[1].ToString().c_str(),
                 ct.tuple[2].ToString().c_str());

@@ -25,7 +25,7 @@ void PrintView(const MaintainedView& mv) {
               mv.def().name().c_str(), mv.def().pattern().ToString().c_str(),
               mv.view().size(),
               static_cast<long long>(mv.view().total_derivations()));
-  for (const auto& ct : mv.view().Snapshot()) {
+  for (const CountedTuple& ct : mv.view().content()) {
     std::printf("  [count=%lld]", static_cast<long long>(ct.count));
     for (size_t i = 0; i < ct.tuple.size(); ++i) {
       std::printf(" %s=%s", mv.def().tuple_schema().col(i).name.c_str(),

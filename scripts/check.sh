@@ -24,7 +24,8 @@
 #      cache is raced by the parallel ViewManager.
 #   8. TSan re-run of the snapshot-serving suite: concurrent reader threads
 #      race the maintenance coordinator through the RCU publication slot,
-#      and every observed snapshot is replay-verified against a recompute.
+#      and every observed snapshot is replay-verified against a recompute;
+#      plus the copy-on-write view store's readers-vs-writer test.
 #   9. Bench and example smoke run: every bench_* and example_* binary of
 #      the ASan build runs once on a tiny document and must exit 0 (the
 #      benches XVM_CHECK-abort on any error).
@@ -190,9 +191,11 @@ XVM_CHECK_INVARIANTS=1 \
 step "serving stress (thread sanitizer, concurrent readers vs maintenance)"
 # The snapshot-serving stress: ≥4 reader threads acquiring snapshots while
 # the coordinator applies a mixed stream, every observation replay-verified
-# bit-identical to a recompute at its generation.
+# bit-identical to a recompute at its generation; and the copy-on-write view
+# store, whose readers scan and look up held snapshots while the writer
+# mutates the chunks and shards it has not shared.
 XVM_CHECK_INVARIANTS=1 \
-  ctest --test-dir build-tsan -R 'ServingStress|ViewSnapshotTest' \
+  ctest --test-dir build-tsan -R 'ServingStress|ViewSnapshotTest|ViewStoreCowTest' \
         --output-on-failure -j "$JOBS"
 
 step "perfbench (end-to-end benchmark self-test)"

@@ -229,9 +229,9 @@ std::string Indent4(const std::string& text) {
 // ---------------------------------------------------------------------------
 // View-state simulator. Mirrors MaterializedView's derivation-count store
 // keyed by the stored ID columns, except that counts are signed and never
-// clamped: RemoveDerivationsByIdKey clamps at zero (defensive against
-// corruption), which would *mask* an over-removing Δ-rewrite — exactly the
-// bug class this prover exists to catch.
+// clamped: MaterializedView::RemoveDerivations clamps at zero (defensive
+// against corruption), which would *mask* an over-removing Δ-rewrite —
+// exactly the bug class this prover exists to catch.
 struct SimEntry {
   Tuple tuple;
   int64_t count = 0;

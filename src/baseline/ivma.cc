@@ -1,6 +1,7 @@
 #include "baseline/ivma.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "pattern/compile.h"
 
@@ -205,8 +206,8 @@ void IvmaView::PropagateDeletedNode(
             if (y == x) continue;
             if (processed.contains(doc.node(bindings[y]).id.Encode())) return;
           }
-          Tuple t = ProjectEmbedding(doc, bindings);
-          view_.RemoveDerivationsByIdKey(view_.IdKeyOf(t), 1);
+          view_.RemoveDerivations(
+              view_.IdsOf(ProjectEmbedding(doc, bindings)), 1);
         });
   }
 }
@@ -250,8 +251,8 @@ StatusOr<UpdateOutcome> IvmaView::ApplyAndPropagate(Document* doc,
       ScopedPhase phase(&out.timing, phase::kExecuteUpdate);
       std::vector<DeweyId> sorted_roots = root_ids;
       std::sort(sorted_roots.begin(), sorted_roots.end());
-      view_.ModifyTuples([&](Tuple* t) {
-        bool changed = false;
+      view_.ModifyTuples([&](const Tuple& t) {
+        std::optional<Tuple> out;
         for (int node : def_.cvn()) {
           // Column positions inside the stored tuple.
           int col = 0, idc = -1, valc = -1, contc = -1;
@@ -270,21 +271,21 @@ StatusOr<UpdateOutcome> IvmaView::ApplyAndPropagate(Document* doc,
               ++col;
             }
           }
-          const DeweyId& id = (*t)[static_cast<size_t>(idc)].id();
+          const DeweyId& id = t[static_cast<size_t>(idc)].id();
           auto it = std::upper_bound(sorted_roots.begin(), sorted_roots.end(),
                                      id);
           if (it == sorted_roots.end() || !id.IsAncestorOf(*it)) continue;
           NodeHandle h = doc->FindById(id);
           if (h == kNullNode) continue;
+          if (!out.has_value()) out = t;
           if (valc >= 0) {
-            (*t)[static_cast<size_t>(valc)] = Value(doc->StringValue(h));
+            (*out)[static_cast<size_t>(valc)] = Value(doc->StringValue(h));
           }
           if (contc >= 0) {
-            (*t)[static_cast<size_t>(contc)] = Value(doc->Content(h));
+            (*out)[static_cast<size_t>(contc)] = Value(doc->Content(h));
           }
-          changed = true;
         }
-        return changed;
+        return out;
       });
     }
     return out;
@@ -307,8 +308,8 @@ StatusOr<UpdateOutcome> IvmaView::ApplyAndPropagate(Document* doc,
     // PIMT-equivalent refresh for cvn nodes above the insertion targets.
     const std::vector<DeweyId>& anchors = applied.insert_target_ids;
     if (!def_.cvn().empty() && !anchors.empty()) {
-      view_.ModifyTuples([&](Tuple* t) {
-        bool changed = false;
+      view_.ModifyTuples([&](const Tuple& t) {
+        std::optional<Tuple> out;
         int col = 0;
         for (size_t i = 0; i < pat.size(); ++i) {
           const PatternNode& n = pat.node(static_cast<int>(i));
@@ -319,20 +320,20 @@ StatusOr<UpdateOutcome> IvmaView::ApplyAndPropagate(Document* doc,
           int contc = n.store_cont ? col : -1;
           col += n.store_cont ? 1 : 0;
           if (!n.store_val && !n.store_cont) continue;
-          const DeweyId& id = (*t)[static_cast<size_t>(idc)].id();
+          const DeweyId& id = t[static_cast<size_t>(idc)].id();
           auto it = std::lower_bound(anchors.begin(), anchors.end(), id);
           if (it == anchors.end() || !id.IsAncestorOrSelf(*it)) continue;
           NodeHandle h = doc->FindById(id);
           if (h == kNullNode) continue;
+          if (!out.has_value()) out = t;
           if (valc >= 0) {
-            (*t)[static_cast<size_t>(valc)] = Value(doc->StringValue(h));
+            (*out)[static_cast<size_t>(valc)] = Value(doc->StringValue(h));
           }
           if (contc >= 0) {
-            (*t)[static_cast<size_t>(contc)] = Value(doc->Content(h));
+            (*out)[static_cast<size_t>(contc)] = Value(doc->Content(h));
           }
-          changed = true;
         }
-        return changed;
+        return out;
       });
     }
   }

@@ -60,7 +60,11 @@ void AuditViewContent(const MaintainedView& view, const StoreIndex& store,
   const TreePattern& pattern = view.def().pattern();
   const std::vector<CountedTuple> truth =
       EvalViewWithCounts(pattern, StoreLeafSource(&store, &pattern));
-  const std::vector<CountedTuple> got = view.view().Snapshot();
+  const ViewContent& got = view.view().content();
+
+  for (const std::string& problem : view.view().CheckStructure()) {
+    report->Add("view.store_structure", "view '" + name + "': " + problem);
+  }
 
   int64_t total = 0;
   for (const CountedTuple& ct : got) {
@@ -85,17 +89,19 @@ void AuditViewContent(const MaintainedView& view, const StoreIndex& store,
                     std::to_string(truth.size()));
     return;
   }
-  for (size_t i = 0; i < truth.size(); ++i) {
-    if (got[i].tuple != truth[i].tuple || got[i].count != truth[i].count) {
+  size_t i = 0;
+  for (const CountedTuple& g : got) {
+    const CountedTuple& t = truth[i];
+    if (g.tuple != t.tuple || g.count != t.count) {
       report->Add("view.matches_recompute",
                   "view '" + name + "' diverges from recomputation at tuple " +
                       std::to_string(i) + ": maintained " +
-                      TupleDesc(got[i].tuple) + " x" +
-                      std::to_string(got[i].count) + ", recomputed " +
-                      TupleDesc(truth[i].tuple) + " x" +
-                      std::to_string(truth[i].count));
+                      TupleDesc(g.tuple) + " x" + std::to_string(g.count) +
+                      ", recomputed " + TupleDesc(t.tuple) + " x" +
+                      std::to_string(t.count));
       return;
     }
+    ++i;
   }
 }
 

@@ -16,6 +16,9 @@ namespace xvm {
 /// Invariants: "view.matches_recompute" (size or tuple/count mismatch, with
 /// the first divergent tuple in the diagnostic), "view.positive_counts",
 /// "view.derivation_total" (total_derivations() equals the sum of counts),
+/// "view.store_structure" (MaterializedView::CheckStructure: no empty or
+/// oversized chunk, ID order within and across chunks, an index holding
+/// exactly the chunks' entries, counts adding up to the total),
 /// "view.snowcap_matches_recompute" (each materialized snowcap equals its
 /// re-materialization row for row — content and binding order).
 void AuditViewContent(const MaintainedView& view, const StoreIndex& store,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -94,6 +95,26 @@ bool RefreshPayloads(StoreIndex* store, const std::vector<NodeLayout>& layout,
     changed = true;
   }
   return changed;
+}
+
+/// RefreshPayloads for an immutable view tuple: tests `t` first and copies
+/// it only when some payload node is affected; nullopt when nothing was
+/// re-read.
+template <typename Affected>
+std::optional<Tuple> RefreshedPayloads(StoreIndex* store,
+                                       const std::vector<NodeLayout>& layout,
+                                       const std::vector<int>& cvn,
+                                       const Affected& affected,
+                                       const Tuple& t) {
+  const bool any = std::any_of(cvn.begin(), cvn.end(), [&](int node) {
+    const NodeLayout& l = layout[static_cast<size_t>(node)];
+    return (l.val_col >= 0 || l.cont_col >= 0) &&
+           affected(t[static_cast<size_t>(l.id_col)].id());
+  });
+  if (!any) return std::nullopt;
+  Tuple out = t;
+  if (!RefreshPayloads(store, layout, cvn, affected, &out)) return std::nullopt;
+  return out;
 }
 
 /// Affected iff some deleted subtree hung strictly below this (surviving)
@@ -205,7 +226,7 @@ ViewSnapshotPtr MaintainedView::BuildSnapshot(uint64_t generation,
     return prev->Restamped(generation);
   }
   return std::make_shared<const ViewSnapshot>(def_.name(), view_.schema(),
-                                              view_.id_cols(), view_.Snapshot(),
+                                              view_.id_cols(), view_.Freeze(),
                                               generation, view_.version());
 }
 
@@ -363,11 +384,13 @@ void MaintainedView::PropagateInsert(const DeltaTables& delta_plus,
       ++stats->terms_evaluated;
       Relation proj = Project(rel, stored_cols_);
       // Derivation counting over the executor's term output — view-content
-      // bookkeeping, not plan interpretation.
-      for (const CountedTuple& ct : DupElimWithCounts(proj)) {  // NOLINT(xvm-exec): counts derivations of an executed term
-        view_.AddDerivations(ct.tuple, ct.count);
+      // bookkeeping, not plan interpretation. The counted rows come out in
+      // canonical order and merge into the view as one batch.
+      std::vector<CountedTuple> counted = DupElimWithCounts(proj);  // NOLINT(xvm-exec): counts derivations of an executed term
+      for (const CountedTuple& ct : counted) {
         stats->derivations_added += ct.count;
       }
+      view_.AddDerivations(std::move(counted));
     }
     RunPimt(delta_plus, stats);
   }
@@ -407,11 +430,14 @@ void MaintainedView::PropagateDelete(const DeltaTables& delta_minus,
       Relation rel = EvaluateTerm(all, *ds, delta_minus, &region);
       ++stats->terms_evaluated;
       Relation proj = Project(rel, removal_cols_);
-      // Same as the insert side: multiset bookkeeping, not execution.
-      for (const CountedTuple& ct : DupElimWithCounts(proj)) {  // NOLINT(xvm-exec): counts derivations of an executed term
-        view_.RemoveDerivationsByIdKey(EncodeTuple(ct.tuple), ct.count);
+      // Same as the insert side: multiset bookkeeping, not execution. The
+      // rows are ID projections in canonical order: the view finds them by
+      // their ID values in one merge pass.
+      std::vector<CountedTuple> counted = DupElimWithCounts(proj);  // NOLINT(xvm-exec): counts derivations of an executed term
+      for (const CountedTuple& ct : counted) {
         stats->derivations_removed += ct.count;
       }
+      view_.RemoveDerivations(counted);
     }
     RunPdmt(region, stats);
   }
@@ -469,9 +495,9 @@ void MaintainedView::RunPimt(const DeltaTables& delta,
   auto affected = [&anchors](const DeweyId& id) {
     return AnyAnchorAtOrBelow(anchors, id);
   };
-  size_t modified = view_.ModifyTuples([&](Tuple* t) {
-    return RefreshPayloads(store_, stored_node_layout_, def_.cvn(), affected,
-                           t);
+  size_t modified = view_.ModifyTuples([&](const Tuple& t) {
+    return RefreshedPayloads(store_, stored_node_layout_, def_.cvn(), affected,
+                             t);
   });
   stats->tuples_modified += modified;
 }
@@ -479,9 +505,9 @@ void MaintainedView::RunPimt(const DeltaTables& delta,
 void MaintainedView::RunPdmt(const DeletedRegion& region,
                              MaintenanceStats* stats) {
   if (def_.cvn().empty() || region.empty()) return;
-  size_t modified = view_.ModifyTuples([&](Tuple* t) {
-    return RefreshPayloads(store_, stored_node_layout_, def_.cvn(),
-                           PayloadShrank(region), t);
+  size_t modified = view_.ModifyTuples([&](const Tuple& t) {
+    return RefreshedPayloads(store_, stored_node_layout_, def_.cvn(),
+                             PayloadShrank(region), t);
   });
   stats->tuples_modified += modified;
 }

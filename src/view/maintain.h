@@ -108,9 +108,11 @@ class MaintainedView {
 
   /// Freezes the current view content into an immutable snapshot stamped at
   /// `generation` (view/snapshot.h). When `prev` was built from the same
-  /// content version, its payload is shared — an O(1) re-stamp instead of an
-  /// O(|view|) copy — so publishing after a statement only pays for the
-  /// views the statement actually changed.
+  /// content version, its content is shared whole (an O(1) re-stamp).
+  /// Otherwise the snapshot copies the content's chunk and index-shard
+  /// pointer vectors, O(|view| / kChunkCapacity + kIndexShards), and shares
+  /// every chunk and shard with the previous generation except the ones
+  /// this statement's Δ copied on write (view/view_store.h).
   ViewSnapshotPtr BuildSnapshot(uint64_t generation,
                                 const ViewSnapshot* prev) const;
 

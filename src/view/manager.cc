@@ -307,6 +307,20 @@ void ViewManager::PublishSnapshots() {
   metrics_->SetGauge(kServingMetricsView, "staleness_max",
                      static_cast<int64_t>(now.staleness_max));
   last_serving_stats_ = now;
+  // Copy-on-write work in the view stores since the last publication: what
+  // publishing this generation cost beyond the pointer vectors.
+  uint64_t chunks = 0;
+  uint64_t shards = 0;
+  for (const auto& view : views_) {
+    chunks += view->view().chunks_copied();
+    shards += view->view().index_shards_copied();
+  }
+  metrics_->AddCounter(kServingMetricsView, "chunks_copied",
+                       static_cast<int64_t>(chunks - last_chunks_copied_));
+  metrics_->AddCounter(kServingMetricsView, "index_shards_copied",
+                       static_cast<int64_t>(shards - last_shards_copied_));
+  last_chunks_copied_ = chunks;
+  last_shards_copied_ = shards;
 }
 
 Status ViewManager::EnableDurability(const std::string& dir) {

@@ -42,8 +42,10 @@ inline constexpr char kStoreMetricsView[] = "__store__";
 
 /// Pseudo-view name under which the coordinator reports the serving layer:
 /// counters reads_served / staleness_sum / publications (per-statement
-/// deltas of the publisher's monotonic totals), the publish_snapshot phase
-/// latency, and gauges snapshot_generation / staleness_max.
+/// deltas of the publisher's monotonic totals), chunks_copied /
+/// index_shards_copied (view-store chunks and index shards copied on write
+/// since the previous publication), the publish_snapshot phase latency, and
+/// gauges snapshot_generation / staleness_max.
 inline constexpr char kServingMetricsView[] = "__serving__";
 
 // The physical executor's statistics (per-kernel invocation and row
@@ -257,9 +259,11 @@ class ViewManager {
   /// The serving layer's RCU slot (internally synchronized — the one part
   /// of the manager reader threads touch directly).
   SnapshotPublisher publisher_;
-  /// Publisher totals at the previous PublishSnapshots, so each statement
-  /// reports only its own delta.
+  /// Publisher and view-store copy totals at the previous PublishSnapshots,
+  /// so each statement reports only its own delta.
   ServingStats last_serving_stats_;
+  uint64_t last_chunks_copied_ = 0;
+  uint64_t last_shards_copied_ = 0;
 };
 
 }  // namespace xvm

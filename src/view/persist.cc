@@ -52,10 +52,10 @@ std::string SaveViewToBytes(const MaintainedView& view) {
   PutLengthPrefixed(&out, view.def().name());
   PutLengthPrefixed(&out, view.def().pattern().ToString());
 
-  // View content.
-  std::vector<CountedTuple> content = view.view().Snapshot();
+  // View content, in canonical order: one walk over the chunks.
+  const ViewContent& content = view.view().content();
   PutVarint64(&out, content.size());
-  for (const auto& ct : content) {
+  for (const CountedTuple& ct : content) {
     PutVarint64(&out, static_cast<uint64_t>(ct.count));
     PutTuple(&out, ct.tuple);
   }
@@ -126,7 +126,8 @@ Status LoadViewFromBytes(const std::string& bytes, MaintainedView* view) {
   }
   std::vector<CountedTuple> content;
   content.reserve(tuple_count);
-  const size_t want_cols = view->def().tuple_schema().size();
+  const MaterializedView& target = view->view();
+  const Schema& schema = target.schema();
   for (uint64_t i = 0; i < tuple_count; ++i) {
     uint64_t count = 0;
     CountedTuple ct;
@@ -134,8 +135,21 @@ Status LoadViewFromBytes(const std::string& bytes, MaintainedView* view) {
         !GetTuple(bytes, &pos, &ct.tuple)) {
       return Status::InvalidArgument("truncated view tuple");
     }
-    if (ct.tuple.size() != want_cols) {
+    if (ct.tuple.size() != schema.size()) {
       return Status::InvalidArgument("saved tuple width mismatch");
+    }
+    for (size_t c = 0; c < schema.size(); ++c) {
+      if (ct.tuple[c].kind() != schema.col(c).kind) {
+        return Status::InvalidArgument("saved tuple column kind mismatch");
+      }
+    }
+    // Saved in canonical order, which is ID order, and the ID projection
+    // identifies a tuple: a row not above its predecessor is a crafted or
+    // corrupt file, and the bulk load below must not merge it silently.
+    if (!content.empty() && !target.IdLess(content.back().tuple, ct.tuple)) {
+      return Status::InvalidArgument(
+          "saved view rows out of ID order or repeating an ID key at row " +
+          std::to_string(i));
     }
     // A tuple lives in the view while its derivation count is positive
     // (MaterializedView invariant): zero would be a phantom tuple and
@@ -211,7 +225,7 @@ Status LoadViewFromBytes(const std::string& bytes, MaintainedView* view) {
   }
 
   // All parsed: commit.
-  view->mutable_view().Reset(content);
+  view->mutable_view().Reset(std::move(content));
   for (uint64_t s = 0; s < snowcap_count; ++s) {
     snowcaps[s].data = std::move(loaded[s]);
   }

@@ -20,22 +20,15 @@ bool IsContColumn(const Column& col) {
 
 ViewSnapshot::ViewSnapshot(std::string view_name, Schema schema,
                            std::vector<int> id_cols,
-                           std::vector<CountedTuple> tuples,
+                           std::shared_ptr<const ViewContent> content,
                            uint64_t generation, uint64_t source_version)
     : view_name_(std::move(view_name)),
       schema_(std::move(schema)),
       id_cols_(std::move(id_cols)),
       generation_(generation),
-      source_version_(source_version) {
-  auto payload = std::make_shared<Payload>();
-  payload->tuples = std::move(tuples);
-  payload->id_index.reserve(payload->tuples.size());
-  for (size_t i = 0; i < payload->tuples.size(); ++i) {
-    const CountedTuple& ct = payload->tuples[i];
-    payload->id_index.emplace(EncodeTupleCols(ct.tuple, id_cols_), i);
-    payload->total_derivations += ct.count;
-  }
-  payload_ = std::move(payload);
+      source_version_(source_version),
+      content_(std::move(content)) {
+  XVM_CHECK(content_ != nullptr);
 }
 
 ViewSnapshot::ViewSnapshot(const ViewSnapshot& other, uint64_t generation)
@@ -44,7 +37,7 @@ ViewSnapshot::ViewSnapshot(const ViewSnapshot& other, uint64_t generation)
       id_cols_(other.id_cols_),
       generation_(generation),
       source_version_(other.source_version_),
-      payload_(other.payload_) {}
+      content_(other.content_) {}
 
 ViewSnapshotPtr ViewSnapshot::Restamped(uint64_t generation) const {
   return ViewSnapshotPtr(new ViewSnapshot(*this, generation));
@@ -54,12 +47,6 @@ std::string ViewSnapshot::IdKeyOf(const Tuple& tuple) const {
   return EncodeTupleCols(tuple, id_cols_);
 }
 
-const CountedTuple* ViewSnapshot::FindByIdKey(const std::string& id_key) const {
-  auto it = payload_->id_index.find(id_key);
-  if (it == payload_->id_index.end()) return nullptr;
-  return &payload_->tuples[it->second];
-}
-
 std::string ViewSnapshot::ToXml() const {
   std::string out;
   out += "<view name=\"";
@@ -67,7 +54,7 @@ std::string ViewSnapshot::ToXml() const {
   out += "\" generation=\"";
   out += std::to_string(generation_);
   out += "\">";
-  for (const CountedTuple& ct : payload_->tuples) {
+  for (const CountedTuple& ct : *content_) {
     out += "<t";
     if (ct.count != 1) {
       out += " count=\"";

@@ -5,12 +5,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/operators.h"
 #include "algebra/value.h"
 #include "common/thread_annotations.h"
+#include "view/view_store.h"
 
 namespace xvm {
 
@@ -25,26 +25,25 @@ namespace xvm {
 /// long as the reader holds it, even across later statements, checkpoints
 /// or recoveries.
 
-/// One view's content frozen at a statement generation: the sorted
-/// (tuple, count) content, the stored-tuple schema, and an ID-key index for
-/// point lookups. Immutable after construction; share it freely across
-/// threads. The tuple payload lives behind its own shared_ptr so an
-/// unchanged view can be re-stamped at a newer generation without copying
-/// (ViewSnapshot::Restamped).
+/// One view's content frozen at a statement generation: the (tuple, count)
+/// content in canonical order with its ID-key index (view/view_store.h) and
+/// the stored-tuple schema. Immutable after construction; share it freely
+/// across threads. The content is the writer's MaterializedView::Freeze():
+/// it shares every chunk and index shard the statement did not touch with
+/// the previous generation, and an unchanged view is re-stamped at a newer
+/// generation without any copy (ViewSnapshot::Restamped).
 class ViewSnapshot {
  public:
-  /// Builds a snapshot from already-sorted content (the canonical order of
-  /// MaterializedView::Snapshot()). `source_version` is the producing
-  /// MaterializedView's mutation version, used by publishers to reuse the
-  /// payload when the view did not change.
+  /// `source_version` is the producing MaterializedView's mutation version,
+  /// used by publishers to reuse the content when the view did not change.
   ViewSnapshot(std::string view_name, Schema schema, std::vector<int> id_cols,
-               std::vector<CountedTuple> tuples, uint64_t generation,
+               std::shared_ptr<const ViewContent> content, uint64_t generation,
                uint64_t source_version);
 
   ViewSnapshot(const ViewSnapshot&) = delete;
   ViewSnapshot& operator=(const ViewSnapshot&) = delete;
 
-  /// A snapshot of the same (shared) payload stamped at a newer generation:
+  /// A snapshot of the same (shared) content stamped at a newer generation:
   /// the view did not change between the two statements, so the content is
   /// bit-identical and only the stamp moves. O(1).
   std::shared_ptr<const ViewSnapshot> Restamped(uint64_t generation) const;
@@ -59,22 +58,24 @@ class ViewSnapshot {
   uint64_t source_version() const { return source_version_; }
 
   /// Distinct tuples.
-  size_t size() const { return payload_->tuples.size(); }
-  bool empty() const { return payload_->tuples.empty(); }
+  size_t size() const { return content_->size(); }
+  bool empty() const { return content_->empty(); }
   /// Sum of derivation counts.
-  int64_t total_derivations() const { return payload_->total_derivations; }
+  int64_t total_derivations() const { return content_->total_derivations(); }
 
-  /// Full scan: tuples sorted in canonical (tuple <) order with their
-  /// derivation counts — the same representation MaterializedView::Snapshot
-  /// produces, so equality checks against a recompute are byte-exact.
-  const std::vector<CountedTuple>& tuples() const { return payload_->tuples; }
+  /// Full scan: tuples in canonical (tuple <) order with their derivation
+  /// counts, the order a recompute produces, so equality checks against it
+  /// are byte-exact. Lives as long as the snapshot.
+  const ViewContent& tuples() const { return *content_; }
 
   /// Encodes a tuple's ID-column projection (the stored-ID key).
   std::string IdKeyOf(const Tuple& tuple) const;
 
-  /// Point lookup by stored-ID key (see MaterializedView::IdKeyOf /
-  /// IdKeyOfIds); nullptr if absent.
-  const CountedTuple* FindByIdKey(const std::string& id_key) const;
+  /// Point lookup by stored-ID key (see MaterializedView::IdKeyOf); nullptr
+  /// if absent. A hit is the very object tuples() holds.
+  const CountedTuple* FindByIdKey(const std::string& id_key) const {
+    return content_->FindByIdKey(id_key);
+  }
 
   /// XML serialization of the snapshot content — the "answer queries from
   /// the view" read path. Each tuple becomes a <t> element (with its
@@ -84,12 +85,6 @@ class ViewSnapshot {
   std::string ToXml() const;
 
  private:
-  struct Payload {
-    std::vector<CountedTuple> tuples;
-    std::unordered_map<std::string, size_t> id_index;  // id_key -> tuple pos
-    int64_t total_derivations = 0;
-  };
-
   ViewSnapshot(const ViewSnapshot& other, uint64_t generation);
 
   std::string view_name_;
@@ -97,7 +92,7 @@ class ViewSnapshot {
   std::vector<int> id_cols_;
   uint64_t generation_ = 0;
   uint64_t source_version_ = 0;
-  std::shared_ptr<const Payload> payload_;
+  std::shared_ptr<const ViewContent> content_;
 };
 
 using ViewSnapshotPtr = std::shared_ptr<const ViewSnapshot>;

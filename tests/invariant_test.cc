@@ -171,6 +171,31 @@ TEST(InvariantAuditTest, SnowcapOutOfOrderReported) {
   EXPECT_FALSE(report.Has("view.matches_recompute")) << report.ToString();
 }
 
+TEST(InvariantAuditTest, ViewStoreOutOfOrderReported) {
+  Workbench wb;
+  auto pattern = TreePattern::Parse("//a{id}(/b{id})");
+  ASSERT_TRUE(pattern.ok());
+  auto def = ViewDefinition::FromPattern("v", std::move(pattern).value());
+  ASSERT_TRUE(def.ok());
+  MaintainedView mv(std::move(def).value(), &wb.store,
+                    LatticeStrategy::kLeaves);
+  mv.Initialize();
+  ASSERT_GE(mv.view().size(), 2u);
+  {
+    InvariantReport clean;
+    AuditViewContent(mv, wb.store, &clean);
+    EXPECT_FALSE(clean.Has("view.store_structure")) << clean.ToString();
+  }
+  // Same entries, same index, same counts: only the order breaks.
+  mv.mutable_view().SwapEntriesForTesting(0, 1);
+  InvariantReport report;
+  AuditViewContent(mv, wb.store, &report);
+  ASSERT_TRUE(report.Has("view.store_structure")) << report.ToString();
+  EXPECT_NE(report.ToString().find("not above its predecessor in ID order"),
+            std::string::npos)
+      << report.ToString();
+}
+
 TEST(InvariantAuditTest, RuntimeGateOverridesAndRestores) {
   const bool initial = InvariantAuditingEnabled();
   {

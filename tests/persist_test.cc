@@ -313,6 +313,59 @@ TEST(PersistAdversarialTest, ZeroDerivationCountRejected) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
+/// A saved content row: derivation count, then the encoded tuple.
+std::string ContentRow(const CountedTuple& ct) {
+  std::string out;
+  PutVarint64(&out, static_cast<uint64_t>(ct.count));
+  PutVarint64(&out, ct.tuple.size());
+  for (const Value& v : ct.tuple) v.EncodeTo(&out);
+  return out;
+}
+
+// The content is bulk-loaded on the strength of its canonical (ID) order, so
+// rows that repeat an ID key or run backwards must be rejected, not merged:
+// Recover then recomputes the view instead.
+TEST(PersistTest, RejectsViewRowsOutOfIdOrderOrRepeated) {
+  Fixture src = Make("Q1", LatticeStrategy::kSnowcaps);
+  src.view->Initialize();
+  const std::vector<CountedTuple> rows = src.view->view().Snapshot();
+  ASSERT_GE(rows.size(), 2u);
+  Tuple renamed = rows[0].tuple;  // same IDs, another payload
+  for (size_t c = 0; c < renamed.size(); ++c) {
+    if (renamed[c].kind() == ValueKind::kString) {
+      renamed[c] = Value(renamed[c].str() + "!");
+    }
+  }
+  // The genuine file's snowcap section, so that nothing but the rows is
+  // wrong with the crafted files.
+  const std::string genuine = SaveViewToBytes(*src.view);
+  std::string content = ViewHeader(*src.view);
+  PutVarint64(&content, rows.size());
+  for (const CountedTuple& ct : rows) content += ContentRow(ct);
+  ASSERT_EQ(genuine.compare(0, content.size(), content), 0);
+  const std::string snowcaps = genuine.substr(
+      content.size(), genuine.size() - content.size() - 8 /*checksum*/);
+
+  const std::vector<std::vector<CountedTuple>> crafted = {
+      {rows[1], rows[0]},                   // backwards
+      {rows[0], rows[0]},                   // the same row twice
+      {rows[0], CountedTuple{renamed, 1}},  // the same IDs twice
+  };
+  for (size_t k = 0; k < crafted.size(); ++k) {
+    Fixture dst = Make("Q1", LatticeStrategy::kSnowcaps);
+    std::string body = ViewHeader(*dst.view);
+    PutVarint64(&body, crafted[k].size());
+    for (const CountedTuple& ct : crafted[k]) body += ContentRow(ct);
+    body += snowcaps;
+    Status st = LoadViewFromBytes(Sealed(body), dst.view.get());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << k << ": " << st.ToString();
+    EXPECT_NE(st.message().find("out of ID order"), std::string::npos)
+        << k << ": " << st.ToString();
+    EXPECT_EQ(dst.view->view().size(), 0u) << k;
+  }
+}
+
 TEST(PersistAdversarialTest, HugeDerivationCountRejected) {
   Fixture dst = Make("Q1", LatticeStrategy::kSnowcaps);
   for (uint64_t count :

@@ -49,8 +49,9 @@ std::vector<CountedTuple> Recompute(const ViewManager& mgr, size_t i,
   return EvalViewWithCounts(pat, StoreLeafSource(&store, &pat));
 }
 
-void ExpectTuplesEqual(const std::vector<CountedTuple>& got,
-                       const std::vector<CountedTuple>& want,
+/// `got` and `want` are vectors of CountedTuple or snapshot contents.
+template <typename Got, typename Want>
+void ExpectTuplesEqual(const Got& got, const Want& want,
                        const std::string& at) {
   ASSERT_EQ(got.size(), want.size()) << at;
   for (size_t t = 0; t < want.size(); ++t) {
@@ -94,7 +95,8 @@ TEST(ViewSnapshotTest, ReadApiScanLookupAndXml) {
 TEST(ViewSnapshotTest, SnapshotsAreImmutableAcrossStatements) {
   SmallBench b;
   ViewSnapshotPtr before = b.mgr->Snapshot(0);
-  std::vector<CountedTuple> before_copy = before->tuples();
+  std::vector<CountedTuple> before_copy(before->tuples().begin(),
+                                        before->tuples().end());
 
   ASSERT_TRUE(
       b.mgr->ApplyAndPropagateAll(UpdateStmt::InsertForest("//a", "<b/>"))
@@ -223,7 +225,8 @@ TEST(ViewSnapshotTest, RecoveryPublishesRecoveredState) {
         b.mgr->ApplyAndPropagateAll(UpdateStmt::InsertForest("//a", "<b/>"))
             .ok());
     final_seq = b.mgr->last_sequence();
-    want = b.mgr->Snapshot(0)->tuples();
+    ViewSnapshotPtr live = b.mgr->Snapshot(0);
+    want.assign(live->tuples().begin(), live->tuples().end());
   }
   // Recovery posture: empty document, view registered, Recover() fills in
   // everything from the checkpoint + WAL tail.
@@ -336,7 +339,7 @@ TEST(ServingStressTest, ConcurrentReadersSeeOnlyExactGenerations) {
             ASSERT_NE(hit, nullptr);
             ASSERT_EQ(hit->tuple, probe.tuple);
           }
-          obs.views.push_back(tuples);
+          obs.views.emplace_back(tuples.begin(), tuples.end());
         }
         seen[r].emplace(cut->generation, std::move(obs));  // first one wins
         if (final_pass) break;

@@ -28,24 +28,28 @@ TEST(MaterializedViewTest, RemoveByIdKeyDecrementsAndErases) {
   MaterializedView v(TwoColSchema());
   Tuple t = MakeTuple(0, "x");
   v.AddDerivations(t, 2);
-  std::string key = v.IdKeyOf(t);
-  EXPECT_TRUE(v.RemoveDerivationsByIdKey(key, 1));
+  const Tuple ids = v.IdsOf(t);
+  EXPECT_TRUE(v.RemoveDerivations(ids, 1));
   EXPECT_EQ(v.CountOf(t), 1);
-  EXPECT_TRUE(v.RemoveDerivationsByIdKey(key, 1));
+  EXPECT_TRUE(v.RemoveDerivations(ids, 1));
   EXPECT_EQ(v.size(), 0u);
   EXPECT_EQ(v.total_derivations(), 0);
 }
 
 TEST(MaterializedViewTest, RemoveMissingIsIgnored) {
   MaterializedView v(TwoColSchema());
-  EXPECT_TRUE(v.RemoveDerivationsByIdKey("nope", 1));
+  EXPECT_TRUE(v.RemoveDerivations(v.IdsOf(MakeTuple(0, "x")), 1));
+  v.AddDerivations(MakeTuple(1, "y"), 1);
+  EXPECT_TRUE(v.RemoveDerivations(v.IdsOf(MakeTuple(0, "x")), 1));
+  EXPECT_TRUE(v.RemoveDerivations(v.IdsOf(MakeTuple(2, "z")), 1));
+  EXPECT_EQ(v.size(), 1u);
 }
 
 TEST(MaterializedViewTest, OverRemovalClampsAndReports) {
   MaterializedView v(TwoColSchema());
   Tuple t = MakeTuple(0, "x");
   v.AddDerivations(t, 1);
-  EXPECT_FALSE(v.RemoveDerivationsByIdKey(v.IdKeyOf(t), 5));
+  EXPECT_FALSE(v.RemoveDerivations(v.IdsOf(t), 5));
   EXPECT_EQ(v.size(), 0u);
   EXPECT_EQ(v.total_derivations(), 0);
 }
@@ -60,9 +64,10 @@ TEST(MaterializedViewTest, FindByIdKey) {
   MaterializedView v(TwoColSchema());
   Tuple t = MakeTuple(3, "payload");
   v.AddDerivations(t, 1);
-  const Tuple* found = v.FindByIdKey(v.IdKeyOf(t));
+  const CountedTuple* found = v.FindByIdKey(v.IdKeyOf(t));
   ASSERT_NE(found, nullptr);
-  EXPECT_EQ((*found)[1].str(), "payload");
+  EXPECT_EQ(found->tuple[1].str(), "payload");
+  EXPECT_EQ(found, &v.content()[0]);
   EXPECT_EQ(v.FindByIdKey("absent"), nullptr);
 }
 
@@ -70,12 +75,11 @@ TEST(MaterializedViewTest, ModifyTuplesRewritesPayload) {
   MaterializedView v(TwoColSchema());
   v.AddDerivations(MakeTuple(0, "old"), 2);
   v.AddDerivations(MakeTuple(1, "keep"), 1);
-  size_t modified = v.ModifyTuples([](Tuple* t) {
-    if ((*t)[1].str() == "old") {
-      (*t)[1] = Value(std::string("new"));
-      return true;
-    }
-    return false;
+  size_t modified = v.ModifyTuples([](const Tuple& t) -> std::optional<Tuple> {
+    if (t[1].str() != "old") return std::nullopt;
+    Tuple out = t;
+    out[1] = Value(std::string("new"));
+    return out;
   });
   EXPECT_EQ(modified, 1u);
   EXPECT_EQ(v.CountOf(MakeTuple(0, "new")), 2);
