@@ -68,7 +68,6 @@ const char* KindName(ValueKind k) {
     case ValueKind::kNull: return "null";
     case ValueKind::kId: return "id";
     case ValueKind::kString: return "str";
-    case ValueKind::kInt: return "int";
   }
   return "?";
 }
@@ -120,10 +119,7 @@ class Analyzer {
       case PlanOp::kProject: return AnalyzeProject(node, path);
       case PlanOp::kSortBy: return AnalyzeSortBy(node, path);
       case PlanOp::kDupElim: return AnalyzeDupElim(node, path);
-      case PlanOp::kProduct: return AnalyzeProduct(node, path);
-      case PlanOp::kHashJoin: return AnalyzeHashJoin(node, path);
       case PlanOp::kStructJoin: return AnalyzeStructJoin(node, path);
-      case PlanOp::kUnionAll: return AnalyzeUnionAll(node, path);
     }
     return Error(node, path, "unknown operator");
   }
@@ -188,8 +184,7 @@ class Analyzer {
     if (facts.schema.empty()) {
       // No compiler-emitted leaf is arity-0: canonical relations carry at
       // least the node ID, Δ tables mirror them, literals bind a column.
-      // An empty schema upstream would make every derived fact vacuous
-      // (e.g. a union of arity-0 inputs "matches" trivially).
+      // An empty schema upstream would make every derived fact vacuous.
       return Error(node, path, "leaf has empty schema");
     }
     if (node.leaf_determined_by.size() != facts.schema.size() &&
@@ -253,26 +248,6 @@ class Analyzer {
           }
           break;
         }
-        case PlanPredicate::Kind::kColsEqual: {
-          XVM_RETURN_IF_ERROR(CheckCol(node, path, in, p.a, "equality"));
-          XVM_RETURN_IF_ERROR(CheckCol(node, path, in, p.b, "equality"));
-          ValueKind ka = in.schema.col(static_cast<size_t>(p.a)).kind;
-          ValueKind kb = in.schema.col(static_cast<size_t>(p.b)).kind;
-          if (ka != kb) {
-            return Error(node, path,
-                         "attribute-kind misuse: equality " + p.ToString() +
-                             " compares kind " + KindName(ka) + " with kind " +
-                             KindName(kb));
-          }
-          break;
-        }
-        case PlanPredicate::Kind::kParent:
-        case PlanPredicate::Kind::kAncestor:
-          XVM_RETURN_IF_ERROR(
-              CheckIdCol(node, path, in, p.a, "structural predicate"));
-          XVM_RETURN_IF_ERROR(
-              CheckIdCol(node, path, in, p.b, "structural predicate"));
-          break;
         case PlanPredicate::Kind::kRootAnchor:
           XVM_RETURN_IF_ERROR(
               CheckIdCol(node, path, in, p.a, "root anchor"));
@@ -380,7 +355,8 @@ class Analyzer {
     return out;
   }
 
-  /// Concatenation bookkeeping shared by product and the joins.
+  /// Concatenation bookkeeping of a join: schemas, dependencies and keys
+  /// carry over (inner columns shifted past the outer ones).
   static void ConcatFacts(const PlanFacts& l, const PlanFacts& r,
                           PlanFacts* out) {
     out->schema = Schema::Concat(l.schema, r.schema);
@@ -397,54 +373,6 @@ class Analyzer {
       }
     }
     out->duplicate_free = l.duplicate_free && r.duplicate_free;
-  }
-
-  StatusOr<PlanFacts> AnalyzeProduct(const PlanNode& node,
-                                     const std::string& path) {
-    XVM_RETURN_IF_ERROR(CheckArity(node, path, 2));
-    XVM_ASSIGN_OR_RETURN(PlanFacts l, Child(node, path, 0, "product[left]"));
-    XVM_ASSIGN_OR_RETURN(PlanFacts r, Child(node, path, 1, "product[right]"));
-    PlanFacts out;
-    ConcatFacts(l, r, &out);
-    out.sort_prefix = l.sort_prefix;  // left-major enumeration
-    return out;
-  }
-
-  StatusOr<PlanFacts> AnalyzeHashJoin(const PlanNode& node,
-                                      const std::string& path) {
-    XVM_RETURN_IF_ERROR(CheckArity(node, path, 2));
-    XVM_ASSIGN_OR_RETURN(PlanFacts l, Child(node, path, 0, "hjoin[left]"));
-    XVM_ASSIGN_OR_RETURN(PlanFacts r, Child(node, path, 1, "hjoin[right]"));
-    if (node.left_cols.size() != node.right_cols.size()) {
-      return Error(node, path,
-                   "hash-join arity mismatch: " +
-                       std::to_string(node.left_cols.size()) +
-                       " left key column(s) vs " +
-                       std::to_string(node.right_cols.size()) + " right");
-    }
-    for (size_t i = 0; i < node.left_cols.size(); ++i) {
-      XVM_RETURN_IF_ERROR(
-          CheckCol(node, path, l, node.left_cols[i], "hash-join key"));
-      XVM_RETURN_IF_ERROR(
-          CheckCol(node, path, r, node.right_cols[i], "hash-join key"));
-      ValueKind kl =
-          l.schema.col(static_cast<size_t>(node.left_cols[i])).kind;
-      ValueKind kr =
-          r.schema.col(static_cast<size_t>(node.right_cols[i])).kind;
-      if (kl != kr) {
-        return Error(node, path,
-                     "attribute-kind misuse: hash-join equates kind " +
-                         std::string(KindName(kl)) + " with kind " +
-                         KindName(kr) + " at key pair " + std::to_string(i));
-      }
-    }
-    PlanFacts out;
-    ConcatFacts(l, r, &out);
-    // Probe rows are scanned in order with contiguous match groups, so the
-    // right input's order survives (shifted past the build columns).
-    const int lw = static_cast<int>(l.schema.size());
-    for (int c : r.sort_prefix) out.sort_prefix.push_back(c + lw);
-    return out;
   }
 
   StatusOr<PlanFacts> AnalyzeStructJoin(const PlanNode& node,
@@ -486,38 +414,6 @@ class Analyzer {
     out.sort_prefix = {node.inner_col +
                        static_cast<int>(outer.schema.size())};
     return out;
-  }
-
-  StatusOr<PlanFacts> AnalyzeUnionAll(const PlanNode& node,
-                                      const std::string& path) {
-    XVM_RETURN_IF_ERROR(CheckArity(node, path, 2));
-    XVM_ASSIGN_OR_RETURN(PlanFacts a, Child(node, path, 0, "union[0]"));
-    XVM_ASSIGN_OR_RETURN(PlanFacts b, Child(node, path, 1, "union[1]"));
-    if (a.schema.size() != b.schema.size()) {
-      return Error(node, path,
-                   "union arity mismatch: " + std::to_string(a.schema.size()) +
-                       " vs " + std::to_string(b.schema.size()) +
-                       " columns");
-    }
-    for (size_t c = 0; c < a.schema.size(); ++c) {
-      const Column& ca = a.schema.col(c);
-      const Column& cb = b.schema.col(c);
-      if (ca.kind != cb.kind) {
-        return Error(node, path,
-                     "union of incompatible columns at position " +
-                         std::to_string(c) + ": '" + ca.name + "' (" +
-                         KindName(ca.kind) + ") vs '" + cb.name + "' (" +
-                         KindName(cb.kind) + ")");
-      }
-      // Names are NOT required to match: the Δ terms of one union rename
-      // columns freely ("R:person.ID" vs "delta:person.ID"). Kind equality
-      // (checked above) is the compatibility contract; the union's output
-      // keeps the first input's names, matching UnionAll.
-    }
-    PlanFacts out;
-    out.schema = a.schema;
-    out.determined_by.assign(out.schema.size(), -1);
-    return out;  // concatenation: no order, key or uniqueness facts survive
   }
 
   PlanFactsMap* per_node_;

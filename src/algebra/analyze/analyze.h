@@ -49,9 +49,9 @@ struct PlanFacts {
 
 /// Walks the operator tree bottom-up, inferring each operator's output
 /// facts and checking its static preconditions: arity and column-range
-/// validity, attribute-kind discipline (no value comparisons on ID columns,
-/// structural predicates only between ID columns, union compatibility), and
-/// the sortedness preconditions of the structural join. On the first
+/// validity, attribute-kind discipline (value comparisons only on payload
+/// columns; root anchors, liveness filters and structural joins only on ID
+/// columns), and the sortedness preconditions of the structural join. On the first
 /// violation returns InvalidArgument with a diagnostic naming the offending
 /// operator's path from the root plus a rendered plan excerpt.
 ///

@@ -30,8 +30,9 @@ void SubtreeLayout(const TreePattern& pattern, const std::vector<bool>& within,
   }
 }
 
-}  // namespace
-
+/// Leaf plan of pattern node `node`, honoring the LeafSource contract:
+/// columns "<name>.ID" [, "<name>.val"][, "<name>.cont"] (val present iff
+/// stored or value-predicated), rows sorted by and unique on the ID column.
 PlanNodePtr BuildLeafPlan(const TreePattern& pattern, int node,
                           PlanLeafSourceKind src) {
   const PatternNode& n = pattern.node(node);
@@ -48,6 +49,11 @@ PlanNodePtr BuildLeafPlan(const TreePattern& pattern, int node,
   return leaf;
 }
 
+/// The binding plan of the pattern subtree rooted at `root`, restricted to
+/// `subset` when non-null: the leaf of `root` structurally joined, child by
+/// child, with the subtree plans of its included children. Output column
+/// order is pre-order over the subtree; first column is `root`'s ID, and
+/// rows are sorted by it (the inner input of the parent's structural join).
 PlanNodePtr BuildPatternSubtreePlan(const TreePattern& pattern, int root,
                                     const std::vector<bool>* subset,
                                     PlanLeafSourceKind src) {
@@ -85,11 +91,11 @@ PlanNodePtr BuildPatternSubtreePlan(const TreePattern& pattern, int root,
     }
   }
 
-  // The fused evaluator re-sorted every leaf pipeline defensively
-  // (check-then-sort on the ID column). The plan keeps that sort explicit;
-  // the analyzer proves it redundant from the leaf contract and the
-  // order-preservation of select/project, so lowering demotes it to an
-  // XVM_CHECK_INVARIANTS-only audit.
+  // The structural join below needs this pipeline sorted on the ID column,
+  // so the plan states that sort explicitly. The analyzer proves it
+  // redundant from the leaf contract and the order-preservation of
+  // select/project, so lowering demotes it to an XVM_CHECK_INVARIANTS-only
+  // audit (kSortElided).
   cur = MakeSortBy(std::move(cur), {0});
 
   for (int c : n.children) {
@@ -104,6 +110,8 @@ PlanNodePtr BuildPatternSubtreePlan(const TreePattern& pattern, int root,
   }
   return cur;
 }
+
+}  // namespace
 
 PlanNodePtr BuildPatternPlan(const TreePattern& pattern,
                              const std::vector<bool>* subset,

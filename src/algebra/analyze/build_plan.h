@@ -10,7 +10,7 @@
 namespace xvm {
 
 /// Builders that emit, as explicit plan IR, every operator pipeline the
-/// system executes: EvalTreePattern / EvalPatternSubtree / EvalViewWithCounts
+/// system executes: EvalTreePattern / EvalViewWithCounts
 /// (pattern/compile.cc) and the union-term evaluation of
 /// MaintainedView::EvaluateTerm (view/maintain.cc). These plans are the
 /// single source of truth for execution: the evaluators above are thin
@@ -25,19 +25,6 @@ enum class PlanLeafSourceKind : uint8_t {
   kStore,  // canonical relation R_label
   kDelta,  // Δ table of the current statement
 };
-
-/// Leaf plan of pattern node `i`, honoring the LeafSource contract: columns
-/// "<name>.ID" [, "<name>.val"][, "<name>.cont"] (val present iff stored or
-/// value-predicated), rows sorted by and unique on the ID column.
-PlanNodePtr BuildLeafPlan(const TreePattern& pattern, int node,
-                          PlanLeafSourceKind src);
-
-/// Mirrors EvalPatternSubtree/EvalNodeRec: the binding plan of the pattern
-/// subtree rooted at `root`, restricted to `subset` when non-null. Output
-/// column order is pre-order over the subtree; first column is `root`'s ID.
-PlanNodePtr BuildPatternSubtreePlan(const TreePattern& pattern, int root,
-                                    const std::vector<bool>* subset,
-                                    PlanLeafSourceKind src);
 
 /// Mirrors EvalTreePattern: full binding plan, finally sorted by every ID
 /// column of the canonical (pre-order) layout.

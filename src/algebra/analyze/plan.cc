@@ -23,14 +23,6 @@ std::string PlanPredicate::ToString() const {
   switch (kind) {
     case Kind::kEqConst:
       return "t[" + std::to_string(a) + "]=\"" + constant + "\"";
-    case Kind::kColsEqual:
-      return "t[" + std::to_string(a) + "]=t[" + std::to_string(b) + "]";
-    case Kind::kParent:
-      return "t[" + std::to_string(a) + "] parent-of t[" + std::to_string(b) +
-             "]";
-    case Kind::kAncestor:
-      return "t[" + std::to_string(a) + "] ancestor-of t[" +
-             std::to_string(b) + "]";
     case Kind::kRootAnchor:
       return "root-anchor(t[" + std::to_string(a) + "])";
     case Kind::kAlive:
@@ -53,10 +45,7 @@ std::string PlanNode::OpName() const {
     case PlanOp::kProject: return "project";
     case PlanOp::kSortBy: return "sort";
     case PlanOp::kDupElim: return "dupelim";
-    case PlanOp::kProduct: return "product";
-    case PlanOp::kHashJoin: return "hjoin";
     case PlanOp::kStructJoin: return "sjoin";
-    case PlanOp::kUnionAll: return "union";
   }
   return "?";
 }
@@ -79,17 +68,11 @@ std::string PlanNode::Describe() const {
       return "sort[" + JoinInts(cols) + "]";
     case PlanOp::kDupElim:
       return "dupelim";
-    case PlanOp::kProduct:
-      return "product";
-    case PlanOp::kHashJoin:
-      return "hjoin[" + JoinInts(left_cols) + "=" + JoinInts(right_cols) + "]";
     case PlanOp::kStructJoin:
       return std::string("sjoin[") +
              (axis == Axis::kChild ? "child" : "desc") + " outer." +
              std::to_string(outer_col) + " inner." +
              std::to_string(inner_col) + "]";
-    case PlanOp::kUnionAll:
-      return "union";
   }
   return "?";
 }
@@ -145,25 +128,6 @@ PlanNodePtr MakeDupElim(PlanNodePtr in) {
   return n;
 }
 
-PlanNodePtr MakeProduct(PlanNodePtr left, PlanNodePtr right) {
-  auto n = std::make_unique<PlanNode>();
-  n->op = PlanOp::kProduct;
-  n->inputs.push_back(std::move(left));
-  n->inputs.push_back(std::move(right));
-  return n;
-}
-
-PlanNodePtr MakeHashJoin(PlanNodePtr left, std::vector<int> left_cols,
-                         PlanNodePtr right, std::vector<int> right_cols) {
-  auto n = std::make_unique<PlanNode>();
-  n->op = PlanOp::kHashJoin;
-  n->inputs.push_back(std::move(left));
-  n->inputs.push_back(std::move(right));
-  n->left_cols = std::move(left_cols);
-  n->right_cols = std::move(right_cols);
-  return n;
-}
-
 PlanNodePtr MakeStructJoin(PlanNodePtr outer, int outer_col, PlanNodePtr inner,
                            int inner_col, Axis axis) {
   auto n = std::make_unique<PlanNode>();
@@ -173,14 +137,6 @@ PlanNodePtr MakeStructJoin(PlanNodePtr outer, int outer_col, PlanNodePtr inner,
   n->outer_col = outer_col;
   n->inner_col = inner_col;
   n->axis = axis;
-  return n;
-}
-
-PlanNodePtr MakeUnionAll(PlanNodePtr a, PlanNodePtr b) {
-  auto n = std::make_unique<PlanNode>();
-  n->op = PlanOp::kUnionAll;
-  n->inputs.push_back(std::move(a));
-  n->inputs.push_back(std::move(b));
   return n;
 }
 

@@ -10,14 +10,16 @@
 
 namespace xvm {
 
-/// An explicit, analyzable operator-tree representation of the bulk-operator
-/// pipelines this system executes. The evaluators (pattern/compile.cc,
-/// view/maintain.cc) run those pipelines as direct function calls over
-/// materialized Relations; the plan IR mirrors them as data so the static
-/// analyzer (algebra/analyze/analyze.h) can infer every operator's output
-/// schema, prove the sortedness preconditions of the merge-based structural
-/// joins, and reject malformed plans at view-install time instead of
-/// mid-maintenance.
+/// The plan IR: the operator trees pattern compilation emits
+/// (algebra/analyze/build_plan.h) for every view, snowcap and Δ-term
+/// evaluation. It is data, not code: the static analyzer
+/// (algebra/analyze/analyze.h) infers every operator's output schema, proves
+/// the sortedness preconditions of the merge-based structural joins and
+/// rejects malformed plans at view-install time; lowering
+/// (algebra/exec/physical.h) turns an analyzed plan into the kernels the
+/// executor runs, and the reference evaluator (algebra/analyze/symexec.h)
+/// runs it naively as the oracle. The IR carries exactly the operators the
+/// compiler emits.
 
 enum class PlanOp : uint8_t {
   kLeaf,
@@ -25,10 +27,7 @@ enum class PlanOp : uint8_t {
   kProject,     // π, columns kept in the given order
   kSortBy,      // stable lexicographic sort by key columns
   kDupElim,     // δ with derivation counts; output sorted by full tuple
-  kProduct,     // Cartesian product
-  kHashJoin,    // hash equi-join on paired column lists
   kStructJoin,  // stack-based structural join (child / descendant axis)
-  kUnionAll,
 };
 
 /// What feeds a leaf: a canonical relation R_l, a Δ table of the current
@@ -40,23 +39,21 @@ enum class PlanLeafKind : uint8_t {
   kLiteral,
 };
 
-/// One selection atom of the paper's algebra A (§2.2): a value comparison
-/// with a constant, or =, ≺, ≺≺ between two columns, plus the two
-/// maintenance-only atoms below. It is the only predicate form: the
-/// executor and symexec evaluate it, and the analyzer checks its column
-/// ranges and attribute kinds.
+/// One selection atom: the value comparison with a constant of the paper's
+/// algebra A (§2.2), the '/'-root anchor of a pattern, and the
+/// maintenance-only σ_alive filter — the atoms pattern compilation emits.
+/// Structural relationships between columns are structural joins, not
+/// predicates. It is the only predicate form: the executor and symexec
+/// evaluate it, and the analyzer checks its column ranges and attribute
+/// kinds.
 struct PlanPredicate {
   enum class Kind : uint8_t {
     kEqConst,     // t[a] = "constant"   (string column)
-    kColsEqual,   // t[a] = t[b]         (same-kind columns)
-    kParent,      // t[a] ≺ t[b]         (both ID columns)
-    kAncestor,    // t[a] ≺≺ t[b]        (both ID columns)
     kRootAnchor,  // t[a] is the document root element (ID column)
     kAlive,       // σ_alive: no listed ID column lies in the deleted region
   };
   Kind kind = Kind::kEqConst;
   int a = -1;
-  int b = -1;
   std::string constant;   // kEqConst
   std::vector<int> cols;  // kAlive
 
@@ -95,9 +92,6 @@ struct PlanNode {
   int outer_col = -1;
   int inner_col = -1;
   Axis axis = Axis::kDescendant;
-  // kHashJoin: inputs = {left, right}
-  std::vector<int> left_cols;
-  std::vector<int> right_cols;
 
   /// Operator tag for diagnostics ("sjoin", "project", ...).
   std::string OpName() const;
@@ -118,12 +112,8 @@ PlanNodePtr MakeSelect(PlanNodePtr in, std::vector<PlanPredicate> preds);
 PlanNodePtr MakeProject(PlanNodePtr in, std::vector<int> cols);
 PlanNodePtr MakeSortBy(PlanNodePtr in, std::vector<int> keys);
 PlanNodePtr MakeDupElim(PlanNodePtr in);
-PlanNodePtr MakeProduct(PlanNodePtr left, PlanNodePtr right);
-PlanNodePtr MakeHashJoin(PlanNodePtr left, std::vector<int> left_cols,
-                         PlanNodePtr right, std::vector<int> right_cols);
 PlanNodePtr MakeStructJoin(PlanNodePtr outer, int outer_col, PlanNodePtr inner,
                            int inner_col, Axis axis);
-PlanNodePtr MakeUnionAll(PlanNodePtr a, PlanNodePtr b);
 
 /// Renders the plan as an indented operator tree, root first. `max_depth`
 /// >= 0 truncates deeper subtrees with "..." (diagnostics quote excerpts).

@@ -13,7 +13,6 @@ const char* KindName(ValueKind k) {
     case ValueKind::kNull: return "null";
     case ValueKind::kId: return "id";
     case ValueKind::kString: return "str";
-    case ValueKind::kInt: return "int";
   }
   return "?";
 }
@@ -47,10 +46,7 @@ class Executor {
       case PlanOp::kProject: return ExecProject(node, path);
       case PlanOp::kSortBy: return ExecSortBy(node, path);
       case PlanOp::kDupElim: return ExecDupElim(node, path);
-      case PlanOp::kProduct: return ExecProduct(node, path);
-      case PlanOp::kHashJoin: return ExecHashJoin(node, path);
       case PlanOp::kStructJoin: return ExecStructJoin(node, path);
-      case PlanOp::kUnionAll: return ExecUnionAll(node, path);
     }
     return Error(node, path, "unknown operator");
   }
@@ -153,26 +149,6 @@ class Executor {
                                         ValueKind::kString,
                                         "value predicate"));
           break;
-        case PlanPredicate::Kind::kColsEqual: {
-          XVM_RETURN_IF_ERROR(CheckCol(node, path, in, p.a, "equality"));
-          XVM_RETURN_IF_ERROR(CheckCol(node, path, in, p.b, "equality"));
-          ValueKind ka = in.schema.col(static_cast<size_t>(p.a)).kind;
-          ValueKind kb = in.schema.col(static_cast<size_t>(p.b)).kind;
-          if (ka != kb) {
-            return Error(node, path,
-                         "equality " + p.ToString() + " compares kind " +
-                             std::string(KindName(ka)) + " with kind " +
-                             KindName(kb));
-          }
-          break;
-        }
-        case PlanPredicate::Kind::kParent:
-        case PlanPredicate::Kind::kAncestor:
-          XVM_RETURN_IF_ERROR(CheckKind(node, path, in, p.a, ValueKind::kId,
-                                        "structural predicate"));
-          XVM_RETURN_IF_ERROR(CheckKind(node, path, in, p.b, ValueKind::kId,
-                                        "structural predicate"));
-          break;
         case PlanPredicate::Kind::kRootAnchor:
           XVM_RETURN_IF_ERROR(CheckKind(node, path, in, p.a, ValueKind::kId,
                                         "root anchor"));
@@ -204,14 +180,6 @@ class Executor {
     switch (p.kind) {
       case PlanPredicate::Kind::kEqConst:
         return row[static_cast<size_t>(p.a)].str() == p.constant;
-      case PlanPredicate::Kind::kColsEqual:
-        return row[static_cast<size_t>(p.a)] == row[static_cast<size_t>(p.b)];
-      case PlanPredicate::Kind::kParent:
-        return row[static_cast<size_t>(p.a)].id().IsParentOf(
-            row[static_cast<size_t>(p.b)].id());
-      case PlanPredicate::Kind::kAncestor:
-        return row[static_cast<size_t>(p.a)].id().IsAncestorOf(
-            row[static_cast<size_t>(p.b)].id());
       case PlanPredicate::Kind::kRootAnchor:
         return row[static_cast<size_t>(p.a)].id().depth() == 1;
       case PlanPredicate::Kind::kAlive:
@@ -284,66 +252,6 @@ class Executor {
     return out;
   }
 
-  StatusOr<Relation> ExecProduct(const PlanNode& node,
-                                 const std::string& path) {
-    XVM_RETURN_IF_ERROR(CheckArity(node, path, 2));
-    XVM_ASSIGN_OR_RETURN(Relation l, Child(node, path, 0, "product[left]"));
-    XVM_ASSIGN_OR_RETURN(Relation r, Child(node, path, 1, "product[right]"));
-    Relation out;
-    out.schema = Schema::Concat(l.schema, r.schema);
-    // Left-major enumeration, like CartesianProduct.
-    for (const auto& lt : l.rows) {
-      for (const auto& rt : r.rows) {
-        Tuple t = lt;
-        t.insert(t.end(), rt.begin(), rt.end());
-        out.rows.push_back(std::move(t));
-      }
-    }
-    return out;
-  }
-
-  StatusOr<Relation> ExecHashJoin(const PlanNode& node,
-                                  const std::string& path) {
-    XVM_RETURN_IF_ERROR(CheckArity(node, path, 2));
-    XVM_ASSIGN_OR_RETURN(Relation l, Child(node, path, 0, "hjoin[left]"));
-    XVM_ASSIGN_OR_RETURN(Relation r, Child(node, path, 1, "hjoin[right]"));
-    if (node.left_cols.size() != node.right_cols.size()) {
-      return Error(node, path,
-                   "hash-join arity mismatch: " +
-                       std::to_string(node.left_cols.size()) +
-                       " left key column(s) vs " +
-                       std::to_string(node.right_cols.size()) + " right");
-    }
-    for (size_t i = 0; i < node.left_cols.size(); ++i) {
-      XVM_RETURN_IF_ERROR(
-          CheckCol(node, path, l, node.left_cols[i], "hash-join key"));
-      XVM_RETURN_IF_ERROR(
-          CheckCol(node, path, r, node.right_cols[i], "hash-join key"));
-    }
-    Relation out;
-    out.schema = Schema::Concat(l.schema, r.schema);
-    // Nested loop in right-major order with left matches in left scan order:
-    // HashJoinEq builds one vector per key in left order and probes right
-    // rows in order, so its output is exactly this sequence.
-    for (const auto& rt : r.rows) {
-      for (const auto& lt : l.rows) {
-        bool match = true;
-        for (size_t i = 0; i < node.left_cols.size(); ++i) {
-          if (!(lt[static_cast<size_t>(node.left_cols[i])] ==
-                rt[static_cast<size_t>(node.right_cols[i])])) {
-            match = false;
-            break;
-          }
-        }
-        if (!match) continue;
-        Tuple t = lt;
-        t.insert(t.end(), rt.begin(), rt.end());
-        out.rows.push_back(std::move(t));
-      }
-    }
-    return out;
-  }
-
   StatusOr<Relation> ExecStructJoin(const PlanNode& node,
                                     const std::string& path) {
     XVM_RETURN_IF_ERROR(CheckArity(node, path, 2));
@@ -377,21 +285,6 @@ class Executor {
       }
     }
     return out;
-  }
-
-  StatusOr<Relation> ExecUnionAll(const PlanNode& node,
-                                  const std::string& path) {
-    XVM_RETURN_IF_ERROR(CheckArity(node, path, 2));
-    XVM_ASSIGN_OR_RETURN(Relation a, Child(node, path, 0, "union[0]"));
-    XVM_ASSIGN_OR_RETURN(Relation b, Child(node, path, 1, "union[1]"));
-    if (a.schema.empty() && a.rows.empty()) a.schema = b.schema;
-    if (a.schema.size() != b.schema.size()) {
-      return Error(node, path,
-                   "union arity mismatch: " + std::to_string(a.schema.size()) +
-                       " vs " + std::to_string(b.schema.size()) + " columns");
-    }
-    a.rows.insert(a.rows.end(), b.rows.begin(), b.rows.end());
-    return a;
   }
 
   const ExecContext& ctx_;

@@ -13,16 +13,16 @@ namespace xvm {
 /// an operator tree directly, with deliberately naive operator
 /// implementations whose semantics are obvious by inspection — nested-loop
 /// joins instead of the stack-based merge, predicate evaluation straight off
-/// the PlanPredicate atoms. The production evaluators (pattern/compile.cc,
-/// view/maintain.cc) run fused pipelines of the optimized operators; this
-/// second, independent implementation is what the Δ-equivalence prover
-/// (delta_check.h) trusts, and the cross-validation tests pin the two
-/// implementations to each other on every enumerated instance.
+/// the PlanPredicate atoms. The production executor (algebra/exec/exec.h)
+/// runs the lowered plan on the optimized kernels; this second, independent
+/// implementation is what the Δ-equivalence prover (delta_check.h) trusts,
+/// and the cross-validation tests pin the two implementations to each other
+/// on every enumerated instance.
 ///
 /// Output-order contract: each operator reproduces the row order of its
 /// optimized twin in algebra/operators.cc (proved in symexec.cc comments),
-/// so a plan's result is bit-identical to the fused pipeline's — not merely
-/// equal as a multiset.
+/// so a plan's result is bit-identical to the executor's — not merely equal
+/// as a multiset.
 
 /// Environment a plan executes against. The executor itself is pure; leaves
 /// and the σ_alive region are the only contact points with the outside.

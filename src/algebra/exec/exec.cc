@@ -25,14 +25,6 @@ bool EvalPredicate(const PlanPredicate& p, const Tuple& row,
   switch (p.kind) {
     case PlanPredicate::Kind::kEqConst:
       return row[static_cast<size_t>(p.a)].str() == p.constant;
-    case PlanPredicate::Kind::kColsEqual:
-      return row[static_cast<size_t>(p.a)] == row[static_cast<size_t>(p.b)];
-    case PlanPredicate::Kind::kParent:
-      return row[static_cast<size_t>(p.a)].id().IsParentOf(
-          row[static_cast<size_t>(p.b)].id());
-    case PlanPredicate::Kind::kAncestor:
-      return row[static_cast<size_t>(p.a)].id().IsAncestorOf(
-          row[static_cast<size_t>(p.b)].id());
     case PlanPredicate::Kind::kRootAnchor:
       return row[static_cast<size_t>(p.a)].id().depth() == 1;
     case PlanPredicate::Kind::kAlive:
@@ -215,29 +207,11 @@ class PhysExecutor {
         }
         break;
       }
-      case PhysKernel::kProduct: {
-        const Relation& l = results_[static_cast<size_t>(n.inputs[0])].get();
-        const Relation& r = results_[static_cast<size_t>(n.inputs[1])].get();
-        XVM_ASSIGN_OR_RETURN(out.owned, CartesianProduct(l, r));
-        break;
-      }
-      case PhysKernel::kHashJoin: {
-        const Relation& l = results_[static_cast<size_t>(n.inputs[0])].get();
-        const Relation& r = results_[static_cast<size_t>(n.inputs[1])].get();
-        out.owned = HashJoinEq(l, n.left_cols, r, n.right_cols);
-        break;
-      }
       case PhysKernel::kStructJoin: {
         const Relation& l = results_[static_cast<size_t>(n.inputs[0])].get();
         const Relation& r = results_[static_cast<size_t>(n.inputs[1])].get();
         if (audit_) AuditStructJoinOrder(n, l, r);
         out.owned = StructuralJoin(l, n.outer_col, r, n.inner_col, n.axis);
-        break;
-      }
-      case PhysKernel::kUnionAll: {
-        RelRef& l = results_[static_cast<size_t>(n.inputs[0])];
-        const Relation& r = results_[static_cast<size_t>(n.inputs[1])].get();
-        out.owned = UnionAll(TakeOwned(std::move(l)), r);
         break;
       }
     }

@@ -41,8 +41,8 @@ struct ExecKernelStats {
 struct ExecStats {
   std::array<ExecKernelStats, kNumPhysKernels> kernels{};
   int64_t plans_executed = 0;
-  /// Sorts the lowering removed outright, counted per execution (each one is
-  /// a sort the old fused evaluator would at least have had to verify).
+  /// SortBy nodes the lowering proved redundant (kSortElided), counted per
+  /// execution: sorts that cost no comparison at run time.
   int64_t sorts_elided_static = 0;
   /// Adaptive sorts whose O(n) check found the input already ordered.
   int64_t sorts_elided_dynamic = 0;

@@ -65,11 +65,7 @@ class Lowerer {
       case PlanOp::kProject: return LowerProject(node);
       case PlanOp::kSortBy: return LowerSortBy(node);
       case PlanOp::kDupElim: return LowerDupElim(node);
-      case PlanOp::kProduct: return LowerBinary(node, PhysKernel::kProduct);
-      case PlanOp::kHashJoin: return LowerBinary(node, PhysKernel::kHashJoin);
-      case PlanOp::kStructJoin:
-        return LowerBinary(node, PhysKernel::kStructJoin);
-      case PlanOp::kUnionAll: return LowerBinary(node, PhysKernel::kUnionAll);
+      case PlanOp::kStructJoin: return LowerStructJoin(node);
     }
     XVM_CHECK(false);  // AnalyzePlan rejects unknown operators
     return -1;
@@ -184,17 +180,15 @@ class Lowerer {
     return Append(std::move(phys));
   }
 
-  /// Product, joins and union: the analyzer already proved the structural
-  /// join's input order, so only parameters are copied.
-  int LowerBinary(const PlanNode& node, PhysKernel kernel) {
+  /// The analyzer already proved the structural join's input order, so only
+  /// parameters are copied.
+  int LowerStructJoin(const PlanNode& node) {
     const int l = Lower(*node.inputs[0]);
     const int r = Lower(*node.inputs[1]);
     PhysNode phys;
-    phys.kernel = kernel;
+    phys.kernel = PhysKernel::kStructJoin;
     phys.inputs = {l, r};
     phys.schema = Facts(node).schema;
-    phys.left_cols = node.left_cols;
-    phys.right_cols = node.right_cols;
     phys.outer_col = node.outer_col;
     phys.inner_col = node.inner_col;
     phys.axis = node.axis;
@@ -230,10 +224,7 @@ const char* PhysKernelName(PhysKernel k) {
     case PhysKernel::kSortAdaptive: return "sort_adaptive";
     case PhysKernel::kDupElimSorted: return "dupelim_sorted";
     case PhysKernel::kDupElimHash: return "dupelim_hash";
-    case PhysKernel::kProduct: return "product";
-    case PhysKernel::kHashJoin: return "hjoin";
     case PhysKernel::kStructJoin: return "sjoin";
-    case PhysKernel::kUnionAll: return "union";
   }
   return "?";
 }
@@ -269,17 +260,11 @@ std::string PhysNode::Describe() const {
       return "dupelim-sorted";
     case PhysKernel::kDupElimHash:
       return "dupelim-hash";
-    case PhysKernel::kProduct:
-      return "product";
-    case PhysKernel::kHashJoin:
-      return "hjoin[" + JoinInts(left_cols) + "=" + JoinInts(right_cols) + "]";
     case PhysKernel::kStructJoin:
       return std::string("sjoin[") +
              (axis == Axis::kChild ? "child" : "desc") + " outer." +
              std::to_string(outer_col) + " inner." + std::to_string(inner_col) +
              "]";
-    case PhysKernel::kUnionAll:
-      return "union";
   }
   return "?";
 }

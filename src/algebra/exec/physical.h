@@ -19,9 +19,8 @@ namespace xvm {
 ///
 ///  * SortBy whose input order covers the keys becomes kSortElided, a
 ///    pass-through that under XVM_CHECK_INVARIANTS audits the order it
-///    relies on (the per-leaf IsSortedByIdCol scans and the re-sort after
-///    every structural join of the old fused evaluators both collapse into
-///    this).
+///    relies on (the compiler's per-leaf sorts on the ID column all lower
+///    to this).
 ///  * Any other SortBy becomes kSortAdaptive: one O(n) sortedness check,
 ///    then either a pass-through or a real stable sort (e.g. re-sorting a
 ///    snowcap by a frontier column other than its first).
@@ -46,13 +45,13 @@ enum class PhysKernel : uint8_t {
   kSortAdaptive,  // runtime check-then-sort
   kDupElimSorted, // adjacent grouping on proven-sorted input
   kDupElimHash,   // EncodeTuple hash grouping + final sort
-  kProduct,
-  kHashJoin,
-  kStructJoin,
-  kUnionAll,
+  kStructJoin,    // stack-based structural join; keep last (kNumPhysKernels)
 };
 
-inline constexpr size_t kNumPhysKernels = 12;
+/// Number of kernels: sizes the ExecStats per-kernel array and bounds the
+/// PhysKernelName lookups of the metrics flush.
+inline constexpr size_t kNumPhysKernels =
+    static_cast<size_t>(PhysKernel::kStructJoin) + 1;
 
 /// Stable lowercase kernel name ("scan", "sort-elided", ...), used for the
 /// __exec__ metrics counter names and the planlint --physical dump.
@@ -83,9 +82,6 @@ struct PhysNode {
   int outer_col = -1;
   int inner_col = -1;
   Axis axis = Axis::kDescendant;
-  // kHashJoin.
-  std::vector<int> left_cols;
-  std::vector<int> right_cols;
 
   /// Why this kernel was chosen (elision proof, unproven order, ...).
   /// Shown by planlint --physical; empty when the choice needs no comment.

@@ -73,61 +73,6 @@ std::vector<CountedTuple> DupElimWithCounts(const Relation& in) {
   return out;
 }
 
-StatusOr<Relation> CartesianProduct(const Relation& left,
-                                    const Relation& right) {
-  // Check the product size before any allocation (the multiplication itself
-  // can overflow size_t on adversarial inputs).
-  if (!left.empty() &&
-      static_cast<uint64_t>(right.size()) > kMaxProductRows / left.size()) {
-    return Status::OutOfRange(
-        "cartesian product of " + std::to_string(left.size()) + " x " +
-        std::to_string(right.size()) + " rows exceeds the bound of " +
-        std::to_string(kMaxProductRows));
-  }
-  Relation out;
-  out.schema = Schema::Concat(left.schema, right.schema);
-  out.rows.reserve(left.size() * right.size());
-  for (const auto& l : left.rows) {
-    for (const auto& r : right.rows) {
-      Tuple t = l;
-      t.insert(t.end(), r.begin(), r.end());
-      out.rows.push_back(std::move(t));
-    }
-  }
-  return out;
-}
-
-Relation HashJoinEq(const Relation& left, const std::vector<int>& left_cols,
-                    const Relation& right,
-                    const std::vector<int>& right_cols) {
-  XVM_CHECK(left_cols.size() == right_cols.size());
-  Relation out;
-  out.schema = Schema::Concat(left.schema, right.schema);
-  std::unordered_map<std::string, std::vector<const Tuple*>> build;
-  for (const auto& l : left.rows) {
-    build[EncodeTupleCols(l, left_cols)].push_back(&l);
-  }
-  for (const auto& r : right.rows) {
-    auto it = build.find(EncodeTupleCols(r, right_cols));
-    if (it == build.end()) continue;
-    for (const Tuple* l : it->second) {
-      Tuple t = *l;
-      t.insert(t.end(), r.begin(), r.end());
-      out.rows.push_back(std::move(t));
-    }
-  }
-  return out;
-}
-
-bool IsSortedByIdCol(const Relation& rel, int col) {
-  for (size_t i = 1; i < rel.rows.size(); ++i) {
-    const Value& prev = rel.rows[i - 1][static_cast<size_t>(col)];
-    const Value& cur = rel.rows[i][static_cast<size_t>(col)];
-    if (cur < prev) return false;
-  }
-  return true;
-}
-
 Relation StructuralJoin(const Relation& outer, int outer_col,
                         const Relation& inner, int inner_col, Axis axis) {
   Relation out;
@@ -178,18 +123,6 @@ Relation StructuralJoin(const Relation& outer, int outer_col,
     }
   }
   return out;
-}
-
-Relation UnionAll(Relation a, const Relation& b) {
-  if (a.schema.empty() && a.rows.empty()) {
-    a.schema = b.schema;
-  }
-  XVM_CHECK(a.schema.size() == b.schema.size());
-  for (size_t c = 0; c < a.schema.size(); ++c) {
-    XVM_CHECK(a.schema.col(c).kind == b.schema.col(c).kind);
-  }
-  a.rows.insert(a.rows.end(), b.rows.begin(), b.rows.end());
-  return a;
 }
 
 }  // namespace xvm

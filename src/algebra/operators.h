@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "algebra/value.h"
-#include "common/status.h"
 #include "store/canonical.h"
 
 namespace xvm {
@@ -45,21 +44,6 @@ struct CountedTuple {
 /// input rows that collapse to it (number of derivations). Output is sorted.
 std::vector<CountedTuple> DupElimWithCounts(const Relation& in);
 
-/// Upper bound on the rows one Cartesian product may emit. Products only
-/// appear in adversarial / test plans (pattern compilation never emits one),
-/// so a blown-up product is a malformed plan, not a workload to serve —
-/// same philosophy as the persist layer's bounded reads.
-inline constexpr uint64_t kMaxProductRows = uint64_t{1} << 24;
-
-/// Cartesian product (n-ary ×, pairwise). Fails with OutOfRange instead of
-/// allocating when the result would exceed kMaxProductRows.
-StatusOr<Relation> CartesianProduct(const Relation& left,
-                                    const Relation& right);
-
-/// Hash equi-join on left.cols == right.cols (pairwise).
-Relation HashJoinEq(const Relation& left, const std::vector<int>& left_cols,
-                    const Relation& right, const std::vector<int>& right_cols);
-
 /// Structural-join axis.
 enum class Axis : uint8_t {
   kChild,       // left ≺ right (parent/child)
@@ -73,15 +57,6 @@ enum class Axis : uint8_t {
 /// Complexity O(|outer| + |inner| + |output|).
 Relation StructuralJoin(const Relation& outer, int outer_col,
                         const Relation& inner, int inner_col, Axis axis);
-
-/// Checks that `rel` is sorted by ID column `col` (debug validation).
-bool IsSortedByIdCol(const Relation& rel, int col);
-
-/// Concatenates rows of two union-compatible relations. Compatibility is
-/// checked per column by kind, not by name: the Δ terms of one union rename
-/// columns freely ("R:person.ID" vs "delta:person.ID"), but concatenating
-/// an ID column onto a payload column is always a plan bug and aborts.
-Relation UnionAll(Relation a, const Relation& b);
 
 }  // namespace xvm
 

@@ -15,11 +15,6 @@ const std::string& Value::str() const {
   return str_;
 }
 
-int64_t Value::i64() const {
-  XVM_CHECK(kind_ == ValueKind::kInt);
-  return int_;
-}
-
 std::strong_ordering Value::operator<=>(const Value& other) const {
   if (kind_ != other.kind_) {
     return static_cast<uint8_t>(kind_) <=> static_cast<uint8_t>(other.kind_);
@@ -28,7 +23,6 @@ std::strong_ordering Value::operator<=>(const Value& other) const {
     case ValueKind::kNull: return std::strong_ordering::equal;
     case ValueKind::kId: return id_ <=> other.id_;
     case ValueKind::kString: return str_ <=> other.str_;
-    case ValueKind::kInt: return int_ <=> other.int_;
   }
   return std::strong_ordering::equal;
 }
@@ -51,9 +45,6 @@ void Value::EncodeTo(std::string* out) const {
     case ValueKind::kString:
       PutVarint64(out, str_.size());
       out->append(str_);
-      break;
-    case ValueKind::kInt:
-      PutVarintSigned64(out, int_);
       break;
   }
 }
@@ -85,14 +76,8 @@ bool Value::DecodeFrom(const std::string& data, size_t* pos, Value* out) {
       *pos += len;
       return true;
     }
-    case ValueKind::kInt: {
-      int64_t v = 0;
-      if (!GetVarintSigned64(data, pos, &v)) return false;
-      *out = Value(v);
-      return true;
-    }
   }
-  return false;
+  return false;  // unknown tag
 }
 
 std::string Value::ToString() const {
@@ -100,7 +85,6 @@ std::string Value::ToString() const {
     case ValueKind::kNull: return "null";
     case ValueKind::kId: return id_.ToString();
     case ValueKind::kString: return "\"" + str_ + "\"";
-    case ValueKind::kInt: return std::to_string(int_);
   }
   return "?";
 }

@@ -10,12 +10,13 @@
 
 namespace xvm {
 
-/// Runtime type of an algebra column.
+/// Runtime type of an algebra column. The enumerator values are the tags of
+/// the persisted value encoding (EncodeTo); DecodeFrom rejects every other
+/// tag.
 enum class ValueKind : uint8_t {
   kNull = 0,
-  kId,      // a structural (Dewey) identifier
-  kString,  // val / cont payloads
-  kInt,     // counters, diagnostics
+  kId = 1,      // a structural (Dewey) identifier
+  kString = 2,  // val / cont payloads
 };
 
 /// A single algebra value. Small tagged union; IDs dominate the workload, so
@@ -26,14 +27,12 @@ class Value {
   explicit Value(DeweyId id) : kind_(ValueKind::kId), id_(std::move(id)) {}
   explicit Value(std::string s)
       : kind_(ValueKind::kString), str_(std::move(s)) {}
-  explicit Value(int64_t i) : kind_(ValueKind::kInt), int_(i) {}
 
   ValueKind kind() const { return kind_; }
   bool is_null() const { return kind_ == ValueKind::kNull; }
 
   const DeweyId& id() const;
   const std::string& str() const;
-  int64_t i64() const;
 
   /// Total order: first by kind, then by payload (IDs in document order).
   std::strong_ordering operator<=>(const Value& other) const;
@@ -50,7 +49,6 @@ class Value {
   ValueKind kind_;
   DeweyId id_;
   std::string str_;
-  int64_t int_ = 0;
 };
 
 /// A row: one Value per schema column.
@@ -85,7 +83,7 @@ class Schema {
     return cols_.size() - 1;
   }
 
-  /// Concatenation of two schemas (for joins / products).
+  /// Concatenation of two schemas (for structural joins).
   static Schema Concat(const Schema& a, const Schema& b);
 
   bool operator==(const Schema& other) const = default;

@@ -49,13 +49,6 @@ bool DeweyId::IsAncestorOrSelf(const DeweyId& other) const {
   return *this == other || IsAncestorOf(other);
 }
 
-std::vector<LabelId> DeweyId::LabelPath() const {
-  std::vector<LabelId> path;
-  path.reserve(steps_.size());
-  for (const auto& s : steps_) path.push_back(s.label);
-  return path;
-}
-
 bool DeweyId::HasAncestorLabeled(LabelId label) const {
   if (steps_.empty()) return false;
   for (size_t i = 0; i + 1 < steps_.size(); ++i) {

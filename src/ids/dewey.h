@@ -70,9 +70,6 @@ class DeweyId {
   /// True iff `this` equals `other` or is a proper ancestor of it.
   bool IsAncestorOrSelf(const DeweyId& other) const;
 
-  /// Label path from root to this node (one LabelId per step).
-  std::vector<LabelId> LabelPath() const;
-
   /// PathFilter (paper §3.4): true iff some *proper ancestor* of this node
   /// carries `label`. Decided from the ID alone.
   bool HasAncestorLabeled(LabelId label) const;

@@ -78,8 +78,7 @@ namespace {
 
 /// Lowers a compiler-built plan. A failure here means the pattern builders
 /// emitted a plan the analyzer rejects — a programming error, not an input
-/// error, so it aborts with the analyzer's diagnostic (matching how the old
-/// fused evaluator XVM_CHECKed its structural assumptions).
+/// error, so it aborts with the analyzer's diagnostic.
 PhysicalPlan LowerOrDie(const PlanNode& plan) {
   StatusOr<PhysicalPlan> phys = LowerPlan(plan);
   if (!phys.ok()) {
@@ -112,15 +111,6 @@ Relation EvalTreePattern(const TreePattern& pattern,
   XVM_CHECK(Included(subset, 0));
   PlanNodePtr plan =
       BuildPatternPlan(pattern, subset, PlanLeafSourceKind::kStore);
-  return ExecuteOrDie(LowerOrDie(*plan), leaf_source);
-}
-
-Relation EvalPatternSubtree(const TreePattern& pattern,
-                            const LeafSource& leaf_source, int root_node,
-                            const std::vector<bool>* subset) {
-  XVM_CHECK(Included(subset, root_node));
-  PlanNodePtr plan = BuildPatternSubtreePlan(pattern, root_node, subset,
-                                             PlanLeafSourceKind::kStore);
   return ExecuteOrDie(LowerOrDie(*plan), leaf_source);
 }
 

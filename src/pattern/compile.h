@@ -61,15 +61,6 @@ Relation EvalTreePattern(const TreePattern& pattern,
                          const LeafSource& leaf_source,
                          const std::vector<bool>* subset = nullptr);
 
-/// Evaluates only the pattern subtree rooted at `root_node` (intersected
-/// with `subset` when non-null). Returns the binding relation of that
-/// subtree, sorted by its first column (= `root_node`'s ID) — ready to be
-/// the inner input of a structural join. Used by term evaluation to compute
-/// the tΔ sub-expressions hanging off a snowcap frontier.
-Relation EvalPatternSubtree(const TreePattern& pattern,
-                            const LeafSource& leaf_source, int root_node,
-                            const std::vector<bool>* subset = nullptr);
-
 /// Column indices (into the full binding schema) of the attributes the view
 /// stores, in pre-order — the projection list of the e_v expression.
 std::vector<int> StoredColumnIndices(const TreePattern& pattern,

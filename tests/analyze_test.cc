@@ -152,15 +152,9 @@ TEST(AnalyzeRejectTest, ValuePredicateOnIdColumn) {
 
 TEST(AnalyzeRejectTest, StructuralPredicateOnStringColumn) {
   PlanPredicate p;
-  p.kind = PlanPredicate::Kind::kParent;
-  p.a = 0;
-  p.b = 1;  // a.val — not an ID
+  p.kind = PlanPredicate::Kind::kRootAnchor;
+  p.a = 1;  // a.val — not an ID
   ExpectRejected(MakeSelect(Leaf("a"), {p}), "ID");
-}
-
-TEST(AnalyzeRejectTest, HashJoinKeyArityMismatch) {
-  ExpectRejected(MakeHashJoin(Leaf("a"), {0, 1}, Leaf("b"), {0}),
-                 "hash-join arity mismatch");
 }
 
 TEST(AnalyzeRejectTest, StructuralJoinOnNonIdColumn) {
@@ -179,56 +173,41 @@ TEST(AnalyzeRejectTest, StructuralJoinOuterNotSorted) {
 }
 
 TEST(AnalyzeRejectTest, StructuralJoinInnerOrderDestroyedUpstream) {
-  // A hash join scrambles row order; feeding its output to a structural
-  // join without re-sorting must be rejected.
-  PlanNodePtr hj = MakeHashJoin(Leaf("b"), {0}, Leaf("c"), {0});
+  // The inner input is sorted, but by its val column: no ID order reaches
+  // the join, so feeding it to a structural join without re-sorting must be
+  // rejected.
+  PlanNodePtr by_val = MakeLeaf(PlanLeafKind::kLiteral, "lit", IdValSchema("b"),
+                                /*sort_prefix=*/{1}, {0, 0});
   ExpectRejected(
-      MakeStructJoin(Leaf("a"), 0, std::move(hj), 0, Axis::kDescendant),
+      MakeStructJoin(Leaf("a"), 0, std::move(by_val), 0, Axis::kDescendant),
       "sort-order precondition");
 }
 
 TEST(AnalyzeRejectTest, SortRepairsOrderForStructuralJoin) {
   // Control for the two order tests above: an explicit sort on the join
   // column makes the same plans pass.
-  PlanNodePtr hj = MakeHashJoin(Leaf("b"), {0}, Leaf("c"), {0});
+  PlanNodePtr by_val = MakeLeaf(PlanLeafKind::kLiteral, "lit", IdValSchema("b"),
+                                /*sort_prefix=*/{1}, {0, 0});
   PlanNodePtr plan = MakeStructJoin(Leaf("a"), 0,
-                                    MakeSortBy(std::move(hj), {0}), 0,
+                                    MakeSortBy(std::move(by_val), {0}), 0,
                                     Axis::kDescendant);
   EXPECT_TRUE(AnalyzePlan(*plan).ok());
 }
 
-TEST(AnalyzeRejectTest, UnionOfIncompatibleSchemas) {
-  Schema other;
-  other.Add({"a.ID", ValueKind::kId});
-  other.Add({"a.val", ValueKind::kId});  // kind differs
-  PlanNodePtr bad =
-      MakeLeaf(PlanLeafKind::kLiteral, "lit", std::move(other), {0}, {0, 0});
-  ExpectRejected(MakeUnionAll(Leaf("a"), std::move(bad)), "union");
-}
-
-TEST(AnalyzeRejectTest, UnionAcceptsRenamedColumnsOfSameKind) {
-  // The Δ terms of one union rename columns freely ("R:person.ID" vs
-  // "delta:person.ID"): compatibility is per-column kind, not name, and
-  // the union keeps the first input's names (matching UnionAll).
-  PlanNodePtr plan = MakeUnionAll(Leaf("a"), Leaf("b"));
-  auto facts = AnalyzePlan(*plan);
-  ASSERT_TRUE(facts.ok()) << facts.status().ToString();
-  EXPECT_EQ(facts->schema.col(0).name, "a.ID");
-}
-
-TEST(AnalyzeRejectTest, UnionOfArityZeroInputsRejected) {
-  // Arity-0 relations satisfy every per-column union check vacuously; the
+TEST(AnalyzeRejectTest, ArityZeroLeafRejected) {
+  // Arity-0 relations satisfy every per-column check vacuously; the
   // analyzer must reject them at the leaf instead of proving nothing.
-  PlanNodePtr plan = MakeUnionAll(
-      MakeLeaf(PlanLeafKind::kStoreScan, "R:empty", Schema(), {}, {}),
-      MakeLeaf(PlanLeafKind::kStoreScan, "R:empty", Schema(), {}, {}));
+  PlanNodePtr plan = MakeStructJoin(
+      MakeLeaf(PlanLeafKind::kStoreScan, "R:empty", Schema(), {}, {}), 0,
+      MakeLeaf(PlanLeafKind::kStoreScan, "R:empty", Schema(), {}, {}), 0,
+      Axis::kDescendant);
   auto facts = AnalyzePlan(*plan);
   ASSERT_FALSE(facts.ok());
   EXPECT_EQ(facts.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(facts.status().message().find("empty schema"), std::string::npos)
       << facts.status().message();
-  // The first rejected leaf is reached through the union's first input.
-  EXPECT_NE(facts.status().message().find("union[0]"), std::string::npos)
+  // The first rejected leaf is reached through the join's outer input.
+  EXPECT_NE(facts.status().message().find("sjoin[outer]"), std::string::npos)
       << facts.status().message();
 }
 

@@ -66,10 +66,11 @@ TEST(DeweyIdTest, DocumentOrderIsPreOrder) {
 
 TEST(DeweyIdTest, LabelPathAndAncestorQueries) {
   DeweyId id = Make({{10, 0}, {20, 1}, {30, 2}});
-  std::vector<LabelId> path = id.LabelPath();
-  ASSERT_EQ(path.size(), 3u);
-  EXPECT_EQ(path[0], 10u);
-  EXPECT_EQ(path[2], 30u);
+  // The label path is read off the ancestors' last steps.
+  ASSERT_EQ(id.depth(), 3u);
+  EXPECT_EQ(id.AncestorAtDepth(1).label(), 10u);
+  EXPECT_EQ(id.AncestorAtDepth(2).label(), 20u);
+  EXPECT_EQ(id.label(), 30u);
   // PathFilter semantics: proper ancestors only.
   EXPECT_TRUE(id.HasAncestorLabeled(10));
   EXPECT_TRUE(id.HasAncestorLabeled(20));

@@ -305,67 +305,6 @@ TEST(ExecKernelTest, DupElimSortedAndHashedMatchNaiveCounting) {
   }
 }
 
-TEST(ExecKernelTest, ProductMatchesNestedLoop) {
-  for (int seed = 1; seed <= 15; ++seed) {
-    Rng rng(seed * 49979687 + 11);
-    Relation left = RandomRelation(&rng, IdSchema("a"), rng.Uniform(10));
-    Relation right = RandomRelation(&rng, IdValSchema("b"), rng.Uniform(10));
-    PlanNodePtr plan = MakeProduct(
-        MakeLeaf(PlanLeafKind::kLiteral, "L", left.schema, {}, {}),
-        MakeLeaf(PlanLeafKind::kLiteral, "R", right.schema, {}, {}));
-
-    std::map<std::string, Relation> leaves = {{"L", left}, {"R", right}};
-    auto got = RunPhysical(*plan, leaves);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-
-    Relation naive;
-    naive.schema = Schema::Concat(left.schema, right.schema);
-    for (const Tuple& l : left.rows) {
-      for (const Tuple& r : right.rows) {
-        Tuple t = l;
-        t.insert(t.end(), r.begin(), r.end());
-        naive.rows.push_back(std::move(t));
-      }
-    }
-    ExpectSameRelation(*got, naive, "seed " + std::to_string(seed));
-  }
-}
-
-TEST(ExecKernelTest, HashJoinMatchesNestedLoopEquiJoin) {
-  for (int seed = 1; seed <= 15; ++seed) {
-    Rng rng(seed * 67867967 + 13);
-    Relation left = RandomRelation(&rng, IdValSchema("a"), rng.Uniform(15));
-    Relation right = RandomRelation(&rng, IdValSchema("b"), rng.Uniform(15));
-    PlanNodePtr plan = MakeHashJoin(
-        MakeLeaf(PlanLeafKind::kLiteral, "L", left.schema, {}, {}), {1},
-        MakeLeaf(PlanLeafKind::kLiteral, "R", right.schema, {}, {}), {1});
-
-    std::map<std::string, Relation> leaves = {{"L", left}, {"R", right}};
-    auto got = RunPhysical(*plan, leaves);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-
-    // Multiset reference: nested-loop equi-join.
-    Relation naive;
-    naive.schema = Schema::Concat(left.schema, right.schema);
-    for (const Tuple& l : left.rows) {
-      for (const Tuple& r : right.rows) {
-        if (l[1] == r[1]) {
-          Tuple t = l;
-          t.insert(t.end(), r.begin(), r.end());
-          naive.rows.push_back(std::move(t));
-        }
-      }
-    }
-    ExpectSameMultiset(*got, naive, "seed " + std::to_string(seed));
-
-    // Order-exact reference: the independent evaluator mirrors the
-    // optimized kernel's row order.
-    auto sym = RunSymexec(*plan, leaves);
-    ASSERT_TRUE(sym.ok());
-    ExpectSameRelation(*got, *sym, "symexec seed " + std::to_string(seed));
-  }
-}
-
 TEST(ExecKernelTest, StructJoinMatchesNestedLoopOnBothAxes) {
   for (int seed = 1; seed <= 15; ++seed) {
     Rng rng(seed * 86028121 + 17);
@@ -403,25 +342,6 @@ TEST(ExecKernelTest, StructJoinMatchesNestedLoopOnBothAxes) {
       ASSERT_TRUE(sym.ok());
       ExpectSameRelation(*got, *sym, "symexec seed " + std::to_string(seed));
     }
-  }
-}
-
-TEST(ExecKernelTest, UnionAllMatchesConcatenation) {
-  for (int seed = 1; seed <= 15; ++seed) {
-    Rng rng(seed * 122949829 + 19);
-    Relation a = RandomRelation(&rng, IdValSchema("a"), rng.Uniform(12));
-    Relation b = RandomRelation(&rng, IdValSchema("b"), rng.Uniform(12));
-    PlanNodePtr plan = MakeUnionAll(
-        MakeLeaf(PlanLeafKind::kLiteral, "A", a.schema, {}, {}),
-        MakeLeaf(PlanLeafKind::kLiteral, "B", b.schema, {}, {}));
-
-    std::map<std::string, Relation> leaves = {{"A", a}, {"B", b}};
-    auto got = RunPhysical(*plan, leaves);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-
-    Relation naive = a;
-    naive.rows.insert(naive.rows.end(), b.rows.begin(), b.rows.end());
-    ExpectSameRelation(*got, naive, "seed " + std::to_string(seed));
   }
 }
 

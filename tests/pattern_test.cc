@@ -177,18 +177,6 @@ TEST_F(PatternEvalTest, SubsetEvaluationIsSnowcap) {
   EXPECT_EQ(out.schema.size(), 2u);
 }
 
-TEST_F(PatternEvalTest, SubtreeEvaluation) {
-  Load("<r><a/><b><c/></b><b/></r>");
-  auto p = TreePattern::Parse("//a{id}(//b{id}(//c{id}))");
-  ASSERT_TRUE(p.ok());
-  TreePattern pat = std::move(p).value();
-  // Evaluate only the b//c sub-pattern.
-  Relation out =
-      EvalPatternSubtree(pat, StoreLeafSource(store_.get(), &pat), 1, nullptr);
-  EXPECT_EQ(out.size(), 1u);
-  EXPECT_EQ(out.schema.col(0).name, "b.ID");
-}
-
 TEST_F(PatternEvalTest, BindingLayoutPreOrder) {
   auto p = TreePattern::Parse("//a{id,val}(//b{id}(//c{id,cont}),//d{id})");
   ASSERT_TRUE(p.ok());

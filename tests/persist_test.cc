@@ -559,7 +559,7 @@ TEST(PersistSaveFailureTest, InjectedShortWriteLeavesPreviousCheckpoint) {
 TEST(ValueDecodeTest, RoundTripsAllKinds) {
   std::vector<Value> values = {
       Value(), Value(DeweyId::Root(7).Child(3, OrdKey({2, -1}))),
-      Value(std::string("hello \x01 world")), Value(int64_t{-123456789})};
+      Value(std::string("hello \x01 world"))};
   std::string buf;
   for (const auto& v : values) v.EncodeTo(&buf);
   size_t pos = 0;
@@ -569,6 +569,30 @@ TEST(ValueDecodeTest, RoundTripsAllKinds) {
     EXPECT_EQ(got, expected);
   }
   EXPECT_EQ(pos, buf.size());
+}
+
+TEST(ValueDecodeTest, RejectsRetiredAndUnknownTags) {
+  // Tag 3 was the retired integer kind; it and every higher tag must fail
+  // to decode instead of being read as some other kind, whatever follows.
+  const Value sentinel(std::string("untouched"));
+  for (int tag = 3; tag <= 255; ++tag) {
+    for (const std::string& payload :
+         {std::string(), std::string("\x05hello"), std::string(1, '\0')}) {
+      std::string buf(1, static_cast<char>(tag));
+      buf += payload;
+      size_t pos = 0;
+      Value got = sentinel;
+      EXPECT_FALSE(Value::DecodeFrom(buf, &pos, &got)) << "tag " << tag;
+      EXPECT_EQ(got, sentinel) << "tag " << tag;
+    }
+  }
+  // The retired kind's own encoding (tag 3 + a signed varint) is rejected.
+  std::string old_int(1, '\x03');
+  PutVarintSigned64(&old_int, -123456789);
+  size_t pos = 0;
+  Value got = sentinel;
+  EXPECT_FALSE(Value::DecodeFrom(old_int, &pos, &got));
+  EXPECT_EQ(got, sentinel);
 }
 
 }  // namespace

@@ -12,8 +12,9 @@ the one layer that owns them: the kernels themselves, the analyzer, the
 symbolic-execution oracle and the executor.
 
 Forbidden call names (harvested from src/algebra/operators.h):
-  StructuralJoin HashJoinEq CartesianProduct SortBy IsSortedByIdCol
-  DupElimWithCounts
+  StructuralJoin SortBy DupElimWithCounts
+Every forbidden name must still be declared in that header: a name the
+header no longer declares fails the lint, so the list cannot go stale.
 
 tests/ and bench/ are exempt: property tests and benchmarks compare the
 executor against these kernels on purpose. A deliberate production use
@@ -35,12 +36,10 @@ ALLOWED_PREFIXES = (
 )
 SUPPRESS = "NOLINT(xvm-exec)"
 
+OPERATORS_HEADER = os.path.join("src", "algebra", "operators.h")
 FORBIDDEN = (
     "StructuralJoin",
-    "HashJoinEq",
-    "CartesianProduct",
     "SortBy",
-    "IsSortedByIdCol",
     "DupElimWithCounts",
 )
 
@@ -97,6 +96,21 @@ def main():
     root = os.path.abspath(args.root)
 
     violations = []
+    header = os.path.join(root, OPERATORS_HEADER)
+    try:
+        with open(header, encoding="utf-8") as f:
+            declared = strip_comments_and_strings(f.read())
+    except OSError as e:
+        print(f"{header}: unreadable: {e}", file=sys.stderr)
+        return 2
+    for name in FORBIDDEN:
+        if not re.search(r"\b" + name + r"\s*\(", declared):
+            violations.append(
+                (OPERATORS_HEADER, 1, "stale-forbidden-name",
+                 f"FORBIDDEN lists '{name}', which {OPERATORS_HEADER} no "
+                 f"longer declares — drop it from tools/lint_exec.py")
+            )
+
     scanned = 0
     for path in iter_source_files(root):
         rel = os.path.relpath(path, root)
