@@ -31,20 +31,14 @@ void SubtreeLayout(const TreePattern& pattern, const std::vector<bool>& within,
 }
 
 /// Leaf plan of pattern node `node`, honoring the LeafSource contract:
-/// columns "<name>.ID" [, "<name>.val"][, "<name>.cont"] (val present iff
-/// stored or value-predicated), rows sorted by and unique on the ID column.
+/// columns LeafSchema(node), rows sorted by and unique on the ID column.
 PlanNodePtr BuildLeafPlan(const TreePattern& pattern, int node,
                           PlanLeafSourceKind src) {
   const PatternNode& n = pattern.node(node);
-  const bool want_val = n.store_val || n.val_pred.has_value();
-  Schema schema;
-  schema.Add({n.name + ".ID", ValueKind::kId});
-  if (want_val) schema.Add({n.name + ".val", ValueKind::kString});
-  if (n.store_cont) schema.Add({n.name + ".cont", ValueKind::kString});
   const bool store = src == PlanLeafSourceKind::kStore;
   PlanNodePtr leaf = MakeContractLeaf(
       store ? PlanLeafKind::kStoreScan : PlanLeafKind::kDeltaScan,
-      (store ? "R:" : "delta:") + n.label, std::move(schema));
+      (store ? "R:" : "delta:") + n.label, LeafSchema(n));
   leaf->leaf_node = node;
   return leaf;
 }

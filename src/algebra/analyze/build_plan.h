@@ -11,14 +11,14 @@ namespace xvm {
 
 /// Builders that emit, as explicit plan IR, every operator pipeline the
 /// system executes: EvalTreePattern / EvalViewWithCounts
-/// (pattern/compile.cc) and the union-term evaluation of
-/// MaintainedView::EvaluateTerm (view/maintain.cc). These plans are the
-/// single source of truth for execution: the evaluators above are thin
-/// wrappers that lower a built plan with algebra/exec/physical.h and run it
-/// through algebra/exec/exec.h, so a builder change *is* an execution
-/// change. The independent reference evaluator (algebra/analyze/symexec.h)
-/// and the Δ-equivalence prover cross-validate the executor on every
-/// compiler-emitted plan (tests/analyze_test.cc and the fuzz suites).
+/// (pattern/compile.cc) and every plan of a view's term-plan table
+/// (view/view_plans.h), which maintenance runs. These plans are the single
+/// source of truth for execution: each is lowered with
+/// algebra/exec/physical.h and run through algebra/exec/exec.h, so a
+/// builder change *is* an execution change. The independent reference
+/// evaluator (algebra/analyze/symexec.h) and the Δ-equivalence prover
+/// cross-validate the executor on every compiler-emitted plan
+/// (tests/analyze_test.cc and the fuzz suites).
 
 /// Which table feeds each pattern-node leaf.
 enum class PlanLeafSourceKind : uint8_t {
@@ -36,12 +36,14 @@ PlanNodePtr BuildPatternPlan(const TreePattern& pattern,
 /// full binding plan, then duplicate-eliminate with derivation counts.
 PlanNodePtr BuildViewPlan(const TreePattern& pattern);
 
-/// Mirrors MaintainedView::EvaluateTerm for the union term with Δ-set
-/// `delta_set` inside `within`: evaluate the R-part (a materialized snowcap
-/// leaf when `r_part_materialized`, else recomputed from store leaves), join
-/// the Δ sub-patterns hanging off the snowcap frontier, optionally filter
-/// R-side bindings against the deleted region (`with_region`), and project
-/// back to the canonical pre-order layout of `within`.
+/// The union term with Δ-set `delta_set` inside `within`, as the term-plan
+/// table (view/view_plans.h) builds it once per (Δ-set, σ_alive) and
+/// MaintainedView::EvaluateTerm runs it: evaluate the R-part (a
+/// materialized snowcap leaf when `r_part_materialized`, else recomputed
+/// from store leaves), join the Δ sub-patterns hanging off the snowcap
+/// frontier, optionally filter R-side bindings against the deleted region
+/// (`with_region`), and project back to the canonical pre-order layout of
+/// `within`.
 PlanNodePtr BuildTermPlan(const TreePattern& pattern,
                           const std::vector<bool>& within,
                           const std::vector<bool>& delta_set,

@@ -26,6 +26,7 @@
 #include "view/lattice.h"
 #include "view/maintain.h"
 #include "view/terms.h"
+#include "view/view_plans.h"
 #include "xml/document.h"
 
 namespace xvm {
@@ -161,19 +162,17 @@ bool AnyAnchorStrictlyBelow(const std::vector<DeweyId>& anchors,
   return it != anchors.end() && id.IsAncestorOf(*it);
 }
 
-/// The snowcap leaf name BuildTermPlan emits for a materialized R-part:
-/// "snowcap:{" + included node names, pre-order, comma-joined + "}".
-std::string SnowcapLeafName(const TreePattern& pattern, const NodeSet& nodes) {
-  BindingLayout layout = ComputeBindingLayout(pattern, &nodes);
-  std::string name = "snowcap:{";
-  bool first = true;
-  for (size_t i = 0; i < pattern.size(); ++i) {
-    if (layout.per_node[i].id_col < 0) continue;
-    if (!first) name += ",";
-    name += pattern.node(static_cast<int>(i)).name;
-    first = false;
+/// True iff some column name of a leaf schema ends in `suffix` (the
+/// leaf contract's ".val" / ".cont" columns, pattern/compile.h LeafSchema).
+bool HasColumnSuffix(const Schema& schema, const std::string& suffix) {
+  for (const Column& c : schema.cols()) {
+    if (c.name.size() >= suffix.size() &&
+        c.name.compare(c.name.size() - suffix.size(), suffix.size(),
+                       suffix) == 0) {
+      return true;
+    }
   }
-  return name + "}";
+  return false;
 }
 
 std::string RenderCounted(const std::vector<CountedTuple>& rows) {
@@ -365,33 +364,14 @@ class Checker {
         bounds_(bounds),
         mutation_(mutation),
         all_(pat_.size(), true),
-        delta_sets_(EnumerateDeltaSets(pat_)),
-        full_layout_(ComputeBindingLayout(pat_, nullptr)),
-        stored_cols_(StoredColumnIndices(pat_, full_layout_)),
+        snowcap_plans_(def, ViewLattice(&pat_, LatticeStrategy::kSnowcaps)),
+        leaf_plans_(def, ViewLattice(&pat_, LatticeStrategy::kLeaves)),
         cvn_(def.cvn()),
-        dom_(BuildLabelDomain(pat_)) {
-    for (int c : stored_cols_) {
-      if (full_layout_.schema.col(static_cast<size_t>(c)).kind ==
-          ValueKind::kId) {
-        removal_cols_.push_back(c);
-      }
-    }
-    stored_node_layout_.assign(pat_.size(), NodeLayout{});
-    int col = 0;
-    for (size_t i = 0; i < pat_.size(); ++i) {
-      const PatternNode& n = pat_.node(static_cast<int>(i));
-      if (n.store_id) stored_node_layout_[i].id_col = col++;
-      if (n.store_val) stored_node_layout_[i].val_col = col++;
-      if (n.store_cont) stored_node_layout_[i].cont_col = col++;
-    }
-    for (size_t i = 0; i < def_.tuple_schema().size(); ++i) {
-      if (def_.tuple_schema().col(i).kind == ValueKind::kId) {
-        id_positions_.push_back(static_cast<int>(i));
-      }
-    }
-  }
+        dom_(BuildLabelDomain(pat_)) {}
 
   StatusOr<DeltaCheckResult> Prove() {
+    XVM_RETURN_IF_ERROR(snowcap_plans_.status());
+    XVM_RETURN_IF_ERROR(leaf_plans_.status());
     std::vector<int> parents;
     for (int n = 1; n <= bounds_.max_doc_nodes && !done_; ++n) {
       GenShape(n, &parents);
@@ -643,7 +623,8 @@ class Checker {
     for (auto& [key, entry] : sim->entries) {
       if (entry.count <= 0) continue;
       for (int n : cvn_) {
-        const NodeLayout& l = stored_node_layout_[static_cast<size_t>(n)];
+        const NodeLayout& l =
+            snowcap_plans_.stored_layout()[static_cast<size_t>(n)];
         const DeweyId& id = entry.tuple[static_cast<size_t>(l.id_col)].id();
         if (!AnyAnchorAtOrBelow(delta.anchor_ids(), id)) continue;
         NodeHandle h = doc.FindById(id);
@@ -664,7 +645,8 @@ class Checker {
     for (auto& [key, entry] : sim->entries) {
       if (entry.count <= 0) continue;
       for (int n : cvn_) {
-        const NodeLayout& l = stored_node_layout_[static_cast<size_t>(n)];
+        const NodeLayout& l =
+            snowcap_plans_.stored_layout()[static_cast<size_t>(n)];
         const DeweyId& id = entry.tuple[static_cast<size_t>(l.id_col)].id();
         if (region.Covers(id)) continue;
         if (!AnyAnchorStrictlyBelow(region.roots(), id)) continue;
@@ -702,11 +684,12 @@ class Checker {
 
   // ---- plan execution -----------------------------------------------------
 
+  /// `snowcap` points at the rows the current term's snowcap leaf reads
+  /// (its table entry names the snowcap), or at null.
   std::function<StatusOr<Relation>(const PlanNode&)> MakeResolver(
       const LabelDict* dict, const StoreIndex* store, const DeltaTables* delta,
-      const ViewLattice* lattice) const {
-    const TreePattern* pat = &pat_;
-    return [dict, store, delta, lattice, pat](
+      const Relation* const* snowcap) const {
+    return [dict, store, delta, snowcap](
                const PlanNode& leaf) -> StatusOr<Relation> {
       switch (leaf.leaf_kind) {
         case PlanLeafKind::kStoreScan: {
@@ -717,16 +700,8 @@ class Checker {
           const std::string& c0 = leaf.leaf_schema.col(0).name;
           std::string prefix = c0.substr(0, c0.size() - 3);  // strip ".ID"
           ScanAttrs attrs;
-          for (const Column& c : leaf.leaf_schema.cols()) {
-            if (c.name.size() >= 4 &&
-                c.name.compare(c.name.size() - 4, 4, ".val") == 0) {
-              attrs.val = true;
-            }
-            if (c.name.size() >= 5 &&
-                c.name.compare(c.name.size() - 5, 5, ".cont") == 0) {
-              attrs.cont = true;
-            }
-          }
+          attrs.val = HasColumnSuffix(leaf.leaf_schema, ".val");
+          attrs.cont = HasColumnSuffix(leaf.leaf_schema, ".cont");
           return ScanRelation(*store, label, prefix, attrs);
         }
         case PlanLeafKind::kDeltaScan: {
@@ -739,17 +714,8 @@ class Checker {
           out.schema = leaf.leaf_schema;
           LabelId label = dict->Lookup(leaf.leaf_name.substr(6));
           if (label == kInvalidLabel) return out;
-          bool want_val = false, want_cont = false;
-          for (const Column& c : leaf.leaf_schema.cols()) {
-            if (c.name.size() >= 4 &&
-                c.name.compare(c.name.size() - 4, 4, ".val") == 0) {
-              want_val = true;
-            }
-            if (c.name.size() >= 5 &&
-                c.name.compare(c.name.size() - 5, 5, ".cont") == 0) {
-              want_cont = true;
-            }
-          }
+          const bool want_val = HasColumnSuffix(leaf.leaf_schema, ".val");
+          const bool want_cont = HasColumnSuffix(leaf.leaf_schema, ".cont");
           for (const DeltaRow& row : delta->ForLabel(label)) {
             Tuple t;
             t.push_back(Value(row.id));
@@ -759,18 +725,13 @@ class Checker {
           }
           return out;
         }
-        case PlanLeafKind::kSnowcap: {
-          if (lattice == nullptr) {
-            return Status::Internal("snowcap leaf without a lattice: " +
-                                    leaf.leaf_name);
+        case PlanLeafKind::kSnowcap:
+          if (snowcap == nullptr || *snowcap == nullptr) {
+            return Status::Internal(
+                "snowcap leaf in a term whose R-part is not materialized: " +
+                leaf.leaf_name);
           }
-          for (const MaterializedSnowcap& sc : lattice->snowcaps()) {
-            if (SnowcapLeafName(*pat, sc.nodes) == leaf.leaf_name) {
-              return sc.data;
-            }
-          }
-          return Status::Internal("unknown snowcap leaf: " + leaf.leaf_name);
-        }
+          return **snowcap;
         case PlanLeafKind::kLiteral:
           return Status::Internal("literal leaf in a compiled plan: " +
                                   leaf.leaf_name);
@@ -779,6 +740,9 @@ class Checker {
     };
   }
 
+  /// Analyzes a mutated term plan once per (term, t_R, σ_alive): a
+  /// mutation must leave the plan well-formed, or the negative test is
+  /// void. Unmutated plans were analyzed when the tables were built.
   Status AnalyzeOnce(size_t term_idx, bool mat, bool with_region,
                      const PlanNode& plan) {
     unsigned key = static_cast<unsigned>(term_idx) << 2 |
@@ -805,32 +769,34 @@ class Checker {
   }
 
   /// One propagation pass (delete or insert): evaluates every surviving
-  /// union term through the reference evaluator and applies it to the
-  /// simulated view state, mirroring PropagateDelete / PropagateInsert.
+  /// union term of `plans` through the reference evaluator and applies it
+  /// to the simulated view state, mirroring PropagateDelete /
+  /// PropagateInsert.
   Status RunPass(bool is_delete, const DeltaTables& delta,
                  const DeletedRegion& region, bool with_region,
                  const LabelDict& dict, const StoreIndex& store,
-                 const ViewLattice& lattice, Sim* sim, Outcome* out) {
+                 const ViewLattice& lattice, const ViewPlans& plans, Sim* sim,
+                 Outcome* out) {
+    const Relation* snowcap = nullptr;
     ExecContext ctx;
-    ctx.resolve_leaf = MakeResolver(&dict, &store, &delta, &lattice);
+    ctx.resolve_leaf = MakeResolver(&dict, &store, &delta, &snowcap);
     if (with_region) {
       const DeletedRegion* r = &region;
       ctx.deleted = [r](const DeweyId& id) { return r->Covers(id); };
     }
-    for (size_t ti = 0; ti < delta_sets_.size(); ++ti) {
-      const NodeSet& ds = delta_sets_[ti];
+    const TermSpace& terms = plans.view();
+    for (size_t ti = 0; ti < terms.size(); ++ti) {
+      const TermEntry& term = terms.Term(ti, with_region);
+      const NodeSet& ds = term.delta_set;
       if (TermPrunedByEmptyDelta(pat_, ds, delta, dict) ||
           TermPrunedByAnchorPaths(pat_, ds, all_, delta, dict)) {
         continue;
       }
-      NodeSet r_part(pat_.size(), false);
-      bool r_empty = true;
-      for (size_t i = 0; i < pat_.size(); ++i) {
-        r_part[i] = all_[i] && !ds[i];
-        if (r_part[i]) r_empty = false;
-      }
-      bool mat = !r_empty && lattice.Find(r_part) != nullptr;
-      PlanNodePtr plan = BuildTermPlan(pat_, all_, ds, mat, with_region);
+      snowcap = term.snowcap >= 0
+                    ? &lattice.snowcaps()[static_cast<size_t>(term.snowcap)]
+                           .data
+                    : nullptr;
+      const PlanNode* plan = term.logical.get();
       if (mutation_ == DeltaPlanMutation::kDropDeltaTerm && ti == 0) {
         NoteTerm(out, is_delete, ds, *plan);
         continue;
@@ -840,22 +806,27 @@ class Checker {
         mult = 2;
         NoteTerm(out, is_delete, ds, *plan);
       }
-      PlanNodePtr canonical;
+      // A plan rewrite corrupts a fresh copy of the term; the table's plan
+      // stays the reference it is compared against.
+      PlanNodePtr mutated;
       bool mutated_here = false;
       if (IsPlanRewrite(mutation_)) {
-        canonical = BuildTermPlan(pat_, all_, ds, mat, with_region);
-        mutated_here = ApplyPlanMutation(plan.get(), mutation_);
+        const bool mat = term.snowcap >= 0;
+        mutated = BuildTermPlan(pat_, all_, ds, mat, with_region);
+        mutated_here = ApplyPlanMutation(mutated.get(), mutation_);
+        XVM_RETURN_IF_ERROR(AnalyzeOnce(ti, mat, with_region, *mutated));
+        plan = mutated.get();
       }
-      XVM_RETURN_IF_ERROR(AnalyzeOnce(ti, mat, with_region, *plan));
       StatusOr<Relation> rel = ExecutePlan(*plan, ctx);
       if (!rel.ok()) return rel.status();
       ++result_.terms_evaluated;
       if (mutated_here && !out->note.set) {
-        StatusOr<Relation> ref = ExecutePlan(*canonical, ctx);
+        StatusOr<Relation> ref = ExecutePlan(*term.logical, ctx);
         if (!ref.ok()) return ref.status();
         if (!SameRelationRows(*rel, *ref)) NoteTerm(out, is_delete, ds, *plan);
       }
-      Relation proj = Project(*rel, is_delete ? removal_cols_ : stored_cols_);
+      Relation proj = Project(*rel, is_delete ? plans.removal_cols()
+                                              : plans.stored_cols());
       for (const CountedTuple& ct : DupElimWithCounts(proj)) {
         if (is_delete) {
           sim->Remove(EncodeTuple(ct.tuple), ct.count * mult);
@@ -901,11 +872,14 @@ class Checker {
     const LabelDict& dict = *b.dict;
     StoreIndex store(&doc);
     store.Build();
+    const ViewPlans& plans = strategy == LatticeStrategy::kSnowcaps
+                                 ? snowcap_plans_
+                                 : leaf_plans_;
     ViewLattice lattice(&pat_, strategy);
-    lattice.Materialize(store);
+    lattice.Materialize(store, plans);
 
     Sim sim;
-    sim.id_positions = &id_positions_;
+    sim.id_positions = &plans.id_positions();
     for (const CountedTuple& ct :
          EvalViewWithCounts(pat_, StoreLeafSource(&store, &pat_))) {
       sim.Add(ct.tuple, ct.count);
@@ -988,7 +962,7 @@ class Checker {
       } else {
         XVM_RETURN_IF_ERROR(RunPass(/*is_delete=*/true, dm, region,
                                     /*with_region=*/true, dict, store, lattice,
-                                    &sim, &out));
+                                    plans, &sim, &out));
         PdmtMirror(doc, store, region, &sim);
         SnowcapDeleteMirror(region, &lattice);
       }
@@ -999,7 +973,7 @@ class Checker {
       } else {
         XVM_RETURN_IF_ERROR(RunPass(/*is_delete=*/false, dp, region,
                                     /*with_region=*/!region.empty(), dict,
-                                    store, lattice, &sim, &out));
+                                    store, lattice, plans, &sim, &out));
         PimtMirror(doc, store, dp, &sim);
         // MaintainSnowcapsInsert is deliberately not mirrored: within one
         // statement nothing downstream reads the snowcap rows it adds, so
@@ -1157,13 +1131,11 @@ class Checker {
   DeltaCheckBounds bounds_;
   DeltaPlanMutation mutation_;
   NodeSet all_;
-  std::vector<NodeSet> delta_sets_;
-  BindingLayout full_layout_;
-  std::vector<int> stored_cols_;
-  std::vector<int> removal_cols_;
-  std::vector<NodeLayout> stored_node_layout_;
+  // The term-plan tables of the two lattices a view can have (their stored
+  // projections do not depend on the lattice).
+  ViewPlans snowcap_plans_;
+  ViewPlans leaf_plans_;
   std::vector<int> cvn_;
-  std::vector<int> id_positions_;
   LabelDomain dom_;
   std::set<unsigned> analyzed_;
   DeltaCheckResult result_;

@@ -41,6 +41,15 @@ class FdCloser {
   int fd_;
 };
 
+std::string DirnameOf(const std::string& path) {
+  size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  if (slash == 0) return "/";
+  return path.substr(0, slash);
+}
+
+}  // namespace
+
 Status WriteFully(int fd, const char* data, size_t n, const std::string& path) {
   size_t done = 0;
   while (done < n) {
@@ -53,15 +62,6 @@ Status WriteFully(int fd, const char* data, size_t n, const std::string& path) {
   }
   return Status::Ok();
 }
-
-std::string DirnameOf(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
-}  // namespace
 
 uint64_t Fnv1a64(const char* data, size_t n) {
   uint64_t h = 0xcbf29ce484222325ull;

@@ -43,6 +43,10 @@ void PutLengthPrefixed(std::string* out, const std::string& s);
 /// wraps for crafted lengths near UINT64_MAX and would pass the check.
 bool GetLengthPrefixed(const std::string& data, size_t* pos, std::string* out);
 
+/// Writes all `n` bytes of `data` to `fd`, retrying short writes and EINTR.
+/// Internal("write to <path>: <strerror>") on any other write error.
+Status WriteFully(int fd, const char* data, size_t n, const std::string& path);
+
 /// True iff `path` exists (any file type).
 bool FileExists(const std::string& path);
 

@@ -54,22 +54,30 @@ std::vector<int> BindingOrder(const BindingLayout& layout) {
   return order;
 }
 
+Schema LeafSchema(const PatternNode& n) {
+  Schema schema;
+  schema.Add({n.name + ".ID", ValueKind::kId});
+  if (n.store_val || n.val_pred.has_value()) {
+    schema.Add({n.name + ".val", ValueKind::kString});
+  }
+  if (n.store_cont) schema.Add({n.name + ".cont", ValueKind::kString});
+  return schema;
+}
+
 LeafSource StoreLeafSource(const StoreIndex* store,
                            const TreePattern* pattern) {
   return [store, pattern](int node_idx) -> Relation {
     const PatternNode& n = pattern->node(node_idx);
     LabelId label = store->doc().dict().Lookup(n.label);
-    ScanAttrs attrs;
-    attrs.val = n.store_val || n.val_pred.has_value();
-    attrs.cont = n.store_cont;
     if (label == kInvalidLabel) {
       // Label never seen in this document: empty relation, correct schema.
       Relation empty;
-      empty.schema.Add({n.name + ".ID", ValueKind::kId});
-      if (attrs.val) empty.schema.Add({n.name + ".val", ValueKind::kString});
-      if (attrs.cont) empty.schema.Add({n.name + ".cont", ValueKind::kString});
+      empty.schema = LeafSchema(n);
       return empty;
     }
+    ScanAttrs attrs;
+    attrs.val = n.store_val || n.val_pred.has_value();
+    attrs.cont = n.store_cont;
     return ScanRelation(*store, label, n.name, attrs);
   };
 }
@@ -89,17 +97,14 @@ PhysicalPlan LowerOrDie(const PlanNode& plan) {
   return std::move(*phys);
 }
 
-/// Executes a lowered pattern plan with every leaf resolved through
-/// `leaf_source` (the plans built here contain only pattern-derived leaves,
-/// so store vs delta naming is diagnostic-only; the caller's source decides
-/// what the leaves actually read).
-Relation ExecuteOrDie(const PhysicalPlan& phys, const LeafSource& leaf_source) {
+/// Every leaf resolved through `leaf_source` (pattern plans contain only
+/// pattern-derived leaves, so store vs delta naming is diagnostic-only; the
+/// caller's source decides what the leaves actually read).
+PhysExecContext LeafContext(const LeafSource& leaf_source) {
   PhysExecContext ctx;
   ctx.store_leaf = leaf_source;
   ctx.delta_leaf = leaf_source;
-  StatusOr<Relation> out = ExecutePhysicalPlan(phys, ctx);
-  XVM_CHECK(out.ok());
-  return std::move(*out);
+  return ctx;
 }
 
 }  // namespace
@@ -111,7 +116,14 @@ Relation EvalTreePattern(const TreePattern& pattern,
   XVM_CHECK(Included(subset, 0));
   PlanNodePtr plan =
       BuildPatternPlan(pattern, subset, PlanLeafSourceKind::kStore);
-  return ExecuteOrDie(LowerOrDie(*plan), leaf_source);
+  return RunPatternPlan(LowerOrDie(*plan), leaf_source);
+}
+
+Relation RunPatternPlan(const PhysicalPlan& plan,
+                        const LeafSource& leaf_source) {
+  StatusOr<Relation> out = ExecutePhysicalPlan(plan, LeafContext(leaf_source));
+  XVM_CHECK(out.ok());
+  return std::move(*out);
 }
 
 std::vector<int> StoredColumnIndices(const TreePattern& pattern,
@@ -130,13 +142,13 @@ std::vector<int> StoredColumnIndices(const TreePattern& pattern,
 
 std::vector<CountedTuple> EvalViewWithCounts(const TreePattern& pattern,
                                              const LeafSource& leaf_source) {
-  PlanNodePtr plan = BuildViewPlan(pattern);
-  PhysicalPlan phys = LowerOrDie(*plan);
-  PhysExecContext ctx;
-  ctx.store_leaf = leaf_source;
-  ctx.delta_leaf = leaf_source;
+  return RunViewPlan(LowerOrDie(*BuildViewPlan(pattern)), leaf_source);
+}
+
+std::vector<CountedTuple> RunViewPlan(const PhysicalPlan& plan,
+                                      const LeafSource& leaf_source) {
   StatusOr<std::vector<CountedTuple>> out =
-      ExecutePhysicalPlanWithCounts(phys, ctx);
+      ExecutePhysicalPlanWithCounts(plan, LeafContext(leaf_source));
   XVM_CHECK(out.ok());
   return std::move(*out);
 }

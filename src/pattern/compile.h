@@ -10,6 +10,8 @@
 
 namespace xvm {
 
+struct PhysicalPlan;  // algebra/exec/physical.h
+
 /// Column positions of one pattern node inside a binding relation (-1 when
 /// the column or the node is absent).
 struct NodeLayout {
@@ -38,12 +40,16 @@ BindingLayout ComputeBindingLayout(const TreePattern& pattern,
 /// view loading and the content auditor check.
 std::vector<int> BindingOrder(const BindingLayout& layout);
 
+/// Schema of the leaf relation of pattern node `n`: "<name>.ID"
+/// [, "<name>.val"][, "<name>.cont"], where val is present iff the node
+/// stores val *or* has a value predicate, and cont iff the node stores cont.
+Schema LeafSchema(const PatternNode& n);
+
 /// Supplies the leaf relation of pattern node `i`. Contract: the returned
-/// relation has columns "<name>.ID" [, "<name>.val"][, "<name>.cont"] where
-/// val is present iff the node stores val *or* has a value predicate, cont
-/// iff the node stores cont; rows are sorted by the ID column. The default
-/// source scans the canonical relation R_label; maintenance substitutes
-/// delta tables for selected nodes (the heart of the paper's approach).
+/// relation has the columns of LeafSchema and its rows are sorted by the ID
+/// column. The default source scans the canonical relation R_label;
+/// maintenance substitutes delta tables for selected nodes (the heart of
+/// the paper's approach).
 using LeafSource = std::function<Relation(int node_idx)>;
 
 /// Leaf source reading from the canonical-relation store.
@@ -61,6 +67,12 @@ Relation EvalTreePattern(const TreePattern& pattern,
                          const LeafSource& leaf_source,
                          const std::vector<bool>* subset = nullptr);
 
+/// Runs a lowered binding plan (BuildPatternPlan, lowered) with every leaf
+/// read through `leaf_source`: the execution half of EvalTreePattern, for
+/// callers that lowered the plan once up front (view/view_plans.h).
+Relation RunPatternPlan(const PhysicalPlan& plan,
+                        const LeafSource& leaf_source);
+
 /// Column indices (into the full binding schema) of the attributes the view
 /// stores, in pre-order — the projection list of the e_v expression.
 std::vector<int> StoredColumnIndices(const TreePattern& pattern,
@@ -70,6 +82,11 @@ std::vector<int> StoredColumnIndices(const TreePattern& pattern,
 /// attributes, duplicate-eliminate counting derivations, sort (paper §2.2).
 std::vector<CountedTuple> EvalViewWithCounts(const TreePattern& pattern,
                                              const LeafSource& leaf_source);
+
+/// The execution half of EvalViewWithCounts: runs a lowered view plan
+/// (BuildViewPlan, lowered) with every leaf read through `leaf_source`.
+std::vector<CountedTuple> RunViewPlan(const PhysicalPlan& plan,
+                                      const LeafSource& leaf_source);
 
 /// Schema of the projected (stored) view tuples.
 Schema ViewTupleSchema(const TreePattern& pattern);

@@ -1,6 +1,7 @@
 #include "view/lattice.h"
 
 #include "common/status.h"
+#include "view/view_plans.h"
 
 namespace xvm {
 
@@ -31,18 +32,13 @@ ViewLattice::ViewLattice(const TreePattern* pattern, LatticeStrategy strategy)
   }
 }
 
-void ViewLattice::Materialize(const StoreIndex& store) {
-  for (auto& sc : snowcaps_) {
-    sc.data = EvalTreePattern(*pattern_, StoreLeafSource(&store, pattern_),
-                              &sc.nodes);
+void ViewLattice::Materialize(const StoreIndex& store,
+                              const ViewPlans& plans) {
+  XVM_CHECK(plans.snowcaps().size() == snowcaps_.size());
+  const LeafSource leaves = StoreLeafSource(&store, pattern_);
+  for (size_t i = 0; i < snowcaps_.size(); ++i) {
+    snowcaps_[i].data = RunPatternPlan(plans.snowcaps()[i].base, leaves);
   }
-}
-
-const MaterializedSnowcap* ViewLattice::Find(const NodeSet& r_part) const {
-  for (const auto& sc : snowcaps_) {
-    if (sc.nodes == r_part) return &sc;
-  }
-  return nullptr;
 }
 
 size_t ViewLattice::TotalTuples() const {

@@ -8,6 +8,8 @@
 
 namespace xvm {
 
+class ViewPlans;  // view/view_plans.h
+
 /// Which lattice nodes are materialized as auxiliary structures (§6.7).
 enum class LatticeStrategy : uint8_t {
   /// "Snowcaps": materialize a small sufficient set of snowcaps — one per
@@ -42,12 +44,10 @@ class ViewLattice {
 
   LatticeStrategy strategy() const { return strategy_; }
 
-  /// Populates every materialized snowcap from the store (view creation).
-  void Materialize(const StoreIndex& store);
-
-  /// Returns the materialized snowcap whose node set equals `r_part`, or
-  /// nullptr (then the caller recomputes that sub-pattern from the leaves).
-  const MaterializedSnowcap* Find(const NodeSet& r_part) const;
+  /// Populates every materialized snowcap from the store (view creation)
+  /// by running its base plan from `plans`, the view's term-plan table
+  /// built over this lattice.
+  void Materialize(const StoreIndex& store, const ViewPlans& plans);
 
   std::vector<MaterializedSnowcap>& snowcaps() { return snowcaps_; }
   const std::vector<MaterializedSnowcap>& snowcaps() const {

@@ -1,15 +1,10 @@
 #include "view/maintain.h"
 
 #include <algorithm>
-#include <iostream>
 #include <optional>
-#include <tuple>
 #include <utility>
 
-#include "algebra/analyze/build_plan.h"
 #include "algebra/analyze/delta_check.h"
-#include "common/invariant.h"
-#include "view/plan_check.h"
 
 namespace xvm {
 
@@ -148,76 +143,44 @@ MaintainedView::MaintainedView(ViewDefinition def, StoreIndex* store,
     : def_(std::move(def)),
       store_(store),
       lattice_(&def_.pattern(), strategy),
-      view_(def_.tuple_schema()) {
-  const TreePattern& pat = def_.pattern();
-  delta_sets_ = EnumerateDeltaSets(pat);
-  for (const auto& sc : lattice_.snowcaps()) {
-    snowcap_delta_sets_.push_back(EnumerateDeltaSetsWithin(pat, sc.nodes));
-  }
-  full_layout_ = ComputeBindingLayout(pat, nullptr);
-  stored_cols_ = StoredColumnIndices(pat, full_layout_);
-  for (int c : stored_cols_) {
-    if (full_layout_.schema.col(static_cast<size_t>(c)).kind ==
-        ValueKind::kId) {
-      removal_cols_.push_back(c);
-    }
-  }
-  // Per-node column positions inside the *stored* tuple.
-  stored_node_layout_.resize(pat.size());
-  int col = 0;
-  for (size_t i = 0; i < pat.size(); ++i) {
-    const PatternNode& n = pat.node(static_cast<int>(i));
-    if (n.store_id) stored_node_layout_[i].id_col = col++;
-    if (n.store_val) stored_node_layout_[i].val_col = col++;
-    if (n.store_cont) stored_node_layout_[i].cont_col = col++;
-  }
-}
+      plans_(def_, lattice_),
+      view_(def_.tuple_schema()) {}
 
-void MaintainedView::Initialize() {
-  if (InvariantAuditingEnabled()) {
-    Status s = CheckPlans();
-    if (!s.ok()) {
-      InvariantReport report;
-      report.Add("view.plan_analysis", s.message());
-      InvariantAuditFailed(report, "MaintainedView::Initialize");
-    }
-  }
-  RecomputeFromStore();
-}
+void MaintainedView::Initialize() { RecomputeFromStore(); }
 
 Status MaintainedView::CheckPlans() const {
-  std::vector<NodeSet> snowcap_nodes;
-  snowcap_nodes.reserve(lattice_.snowcaps().size());
-  for (const auto& sc : lattice_.snowcaps()) snowcap_nodes.push_back(sc.nodes);
-  XVM_ASSIGN_OR_RETURN(ViewPlanReport report,
-                       AnalyzeViewPlans(def_, snowcap_nodes));
-  (void)report;
+  XVM_RETURN_IF_ERROR(plans_.status());
   // Opt-in semantic gate (XVM_PROVE_DELTA): bounded-exhaustive proof that
   // the Δ-rewrite plans equal recompute-diff, cached per plan fingerprint.
   XVM_RETURN_IF_ERROR(ProveDeltaForInstall(def_));
   return Status::Ok();
 }
 
-bool MaintainedView::TermPruned(const NodeSet& delta_set,
-                                const NodeSet& within,
-                                const DeltaTables& delta) const {
+std::vector<size_t> MaintainedView::SurvivingTerms(
+    const TermSpace& space, const DeltaTables& delta) const {
   const TreePattern& pat = def_.pattern();
   const LabelDict& dict = store_->doc().dict();
-  if (options_.prune_empty_delta &&
-      TermPrunedByEmptyDelta(pat, delta_set, delta, dict)) {
-    return true;
+  std::vector<size_t> out;
+  for (size_t i = 0; i < space.size(); ++i) {
+    const NodeSet& ds = space.Term(i, false).delta_set;
+    if (options_.prune_empty_delta &&
+        TermPrunedByEmptyDelta(pat, ds, delta, dict)) {
+      continue;
+    }
+    if (options_.prune_anchor_paths &&
+        TermPrunedByAnchorPaths(pat, ds, space.within, delta, dict)) {
+      continue;
+    }
+    out.push_back(i);
   }
-  if (options_.prune_anchor_paths &&
-      TermPrunedByAnchorPaths(pat, delta_set, within, delta, dict)) {
-    return true;
-  }
-  return false;
+  return out;
 }
 
 void MaintainedView::RecomputeFromStore() {
-  const TreePattern& pat = def_.pattern();
-  view_.Reset(EvalViewWithCounts(pat, StoreLeafSource(store_, &pat)));
-  lattice_.Materialize(*store_);
+  XVM_CHECK(plans_.status().ok());  // CheckPlans refuses such views
+  view_.Reset(RunViewPlan(plans_.view().base,
+                          StoreLeafSource(store_, &def_.pattern())));
+  lattice_.Materialize(*store_, plans_);
 }
 
 ViewSnapshotPtr MaintainedView::BuildSnapshot(uint64_t generation,
@@ -259,9 +222,7 @@ LeafSource MaintainedView::DeltaLeafSource(const DeltaTables& delta) const {
     const PatternNode& n = pat->node(node_idx);
     const bool want_val = n.store_val || n.val_pred.has_value();
     Relation rel;
-    rel.schema.Add({n.name + ".ID", ValueKind::kId});
-    if (want_val) rel.schema.Add({n.name + ".val", ValueKind::kString});
-    if (n.store_cont) rel.schema.Add({n.name + ".cont", ValueKind::kString});
+    rel.schema = LeafSchema(n);
     LabelId label = dict->Lookup(n.label);
     if (label == kInvalidLabel) return rel;
     for (const DeltaRow& row : d->ForLabel(label)) {
@@ -275,61 +236,27 @@ LeafSource MaintainedView::DeltaLeafSource(const DeltaTables& delta) const {
   };
 }
 
-const PhysicalPlan& MaintainedView::TermPlan(const NodeSet& within,
-                                             const NodeSet& delta_set,
-                                             bool r_part_materialized,
-                                             bool with_region) {
-  auto key = std::make_tuple(within, delta_set, with_region);
-  auto it = term_plans_.find(key);
-  if (it != term_plans_.end()) return it->second;
-  PlanNodePtr logical = BuildTermPlan(def_.pattern(), within, delta_set,
-                                      r_part_materialized, with_region);
-  StatusOr<PhysicalPlan> phys = LowerPlan(*logical);
-  if (!phys.ok()) {
-    std::cerr << "view '" << def_.name()
-              << "': term plan failed to lower: " << phys.status().ToString()
-              << "\n";
-  }
-  XVM_CHECK(phys.ok());
-  return term_plans_.emplace(std::move(key), std::move(*phys)).first->second;
-}
-
-Relation MaintainedView::EvaluateTerm(const NodeSet& within,
-                                      const NodeSet& delta_set,
+Relation MaintainedView::EvaluateTerm(const TermEntry& term,
                                       const DeltaTables& delta,
                                       const DeletedRegion* region) {
-  const TreePattern& pat = def_.pattern();
-  const size_t k = pat.size();
-
-  NodeSet r_part(k, false);
-  bool r_empty = true;
-  for (size_t i = 0; i < k; ++i) {
-    if (within[i] && !delta_set[i]) {
-      r_part[i] = true;
-      r_empty = false;
-    }
-  }
-  // t_R as a materialized snowcap if the lattice has one; the executor then
-  // reads it in place (a "small" term must not become linear in the
-  // auxiliary structure's size: the snowcap is kept in its binding order, so
-  // a sort by its first column is elided statically, and the stack-based
-  // structural join only scans outer rows up to the last Δ ID).
-  const MaterializedSnowcap* msc = r_empty ? nullptr : lattice_.Find(r_part);
-  const bool with_region = region != nullptr && !region->empty();
-  const PhysicalPlan& phys =
-      TermPlan(within, delta_set, msc != nullptr, with_region);
-
   PhysExecContext ctx;
-  ctx.store_leaf = StoreLeafSource(store_, &pat);
+  ctx.store_leaf = StoreLeafSource(store_, &def_.pattern());
   ctx.delta_leaf = DeltaLeafSource(delta);
-  if (msc != nullptr) {
-    ctx.snowcap_leaf = [msc](const PhysNode&) { return &msc->data; };
+  // t_R as a materialized snowcap: the executor reads it in place (a
+  // "small" term must not become linear in the auxiliary structure's size:
+  // the snowcap is kept in its binding order, so a sort by its first column
+  // is elided statically, and the stack-based structural join only scans
+  // outer rows up to the last Δ ID).
+  if (term.snowcap >= 0) {
+    const Relation* rows =
+        &lattice_.snowcaps()[static_cast<size_t>(term.snowcap)].data;
+    ctx.snowcap_leaf = [rows](const PhysNode&) { return rows; };
   }
-  if (with_region) {
+  if (term.with_region) {
     ctx.deleted = [region](const DeweyId& id) { return region->Covers(id); };
   }
   ctx.stats = &exec_stats_;
-  StatusOr<Relation> out = ExecutePhysicalPlan(phys, ctx);
+  StatusOr<Relation> out = ExecutePhysicalPlan(term.physical, ctx);
   XVM_CHECK(out.ok());
   return std::move(*out);
 }
@@ -362,27 +289,23 @@ void MaintainedView::PropagateInsert(const DeltaTables& delta_plus,
     stats->recompute_fallback = true;
     return;
   }
-  const TreePattern& pat = def_.pattern();
-  NodeSet all(pat.size(), true);
+  const TermSpace& terms = plans_.view();
+  const bool with_region = region != nullptr && !region->empty();
 
-  std::vector<const NodeSet*> surviving;
+  std::vector<size_t> surviving;
   {
     ScopedPhase phase(timer, phase::kGetExpression);
-    for (const auto& ds : delta_sets_) {
-      ++stats->terms_considered;
-      if (TermPruned(ds, all, delta_plus)) {
-        ++stats->terms_pruned_data;
-        continue;
-      }
-      surviving.push_back(&ds);
-    }
+    surviving = SurvivingTerms(terms, delta_plus);
+    stats->terms_considered += terms.size();
+    stats->terms_pruned_data += terms.size() - surviving.size();
   }
   {
     ScopedPhase phase(timer, phase::kExecuteUpdate);
-    for (const NodeSet* ds : surviving) {
-      Relation rel = EvaluateTerm(all, *ds, delta_plus, region);
+    for (size_t i : surviving) {
+      Relation rel =
+          EvaluateTerm(terms.Term(i, with_region), delta_plus, region);
       ++stats->terms_evaluated;
-      Relation proj = Project(rel, stored_cols_);
+      Relation proj = Project(rel, plans_.stored_cols());
       // Derivation counting over the executor's term output — view-content
       // bookkeeping, not plan interpretation. The counted rows come out in
       // canonical order and merge into the view as one batch.
@@ -408,28 +331,23 @@ void MaintainedView::PropagateDelete(const DeltaTables& delta_minus,
     stats->recompute_fallback = true;
     return;
   }
-  const TreePattern& pat = def_.pattern();
-  NodeSet all(pat.size(), true);
+  const TermSpace& terms = plans_.view();
   DeletedRegion region(delta_minus.anchor_ids());
 
-  std::vector<const NodeSet*> surviving;
+  std::vector<size_t> surviving;
   {
     ScopedPhase phase(timer, phase::kGetExpression);
-    for (const auto& ds : delta_sets_) {
-      ++stats->terms_considered;
-      if (TermPruned(ds, all, delta_minus)) {
-        ++stats->terms_pruned_data;
-        continue;
-      }
-      surviving.push_back(&ds);
-    }
+    surviving = SurvivingTerms(terms, delta_minus);
+    stats->terms_considered += terms.size();
+    stats->terms_pruned_data += terms.size() - surviving.size();
   }
   {
     ScopedPhase phase(timer, phase::kExecuteUpdate);
-    for (const NodeSet* ds : surviving) {
-      Relation rel = EvaluateTerm(all, *ds, delta_minus, &region);
+    for (size_t i : surviving) {
+      Relation rel = EvaluateTerm(terms.Term(i, /*with_region=*/true),
+                                  delta_minus, &region);
       ++stats->terms_evaluated;
-      Relation proj = Project(rel, removal_cols_);
+      Relation proj = Project(rel, plans_.removal_cols());
       // Same as the insert side: multiset bookkeeping, not execution. The
       // rows are ID projections in canonical order: the view finds them by
       // their ID values in one merge pass.
@@ -454,15 +372,16 @@ void MaintainedView::MaintainSnowcapsInsert(const DeltaTables& delta,
   auto affected = [&anchors](const DeweyId& id) {
     return AnyAnchorAtOrBelow(anchors, id);
   };
+  const bool with_region = region != nullptr && !region->empty();
   // Descending size: each snowcap's t_R reads *smaller* snowcaps, which are
   // updated later in this loop and therefore still hold pre-update data —
   // exactly the R the union terms require.
   for (size_t idx = snowcaps.size(); idx-- > 0;) {
     MaterializedSnowcap& sc = snowcaps[idx];
+    const TermSpace& terms = plans_.snowcaps()[idx];
     std::vector<Tuple> added;
-    for (const NodeSet& ds : snowcap_delta_sets_[idx]) {
-      if (TermPruned(ds, sc.nodes, delta)) continue;
-      Relation rel = EvaluateTerm(sc.nodes, ds, delta, region);
+    for (size_t i : SurvivingTerms(terms, delta)) {
+      Relation rel = EvaluateTerm(terms.Term(i, with_region), delta, region);
       for (auto& row : rel.rows) added.push_back(std::move(row));
     }
     if (!added.empty()) MergeInBindingOrder(std::move(added), &sc);
@@ -496,8 +415,8 @@ void MaintainedView::RunPimt(const DeltaTables& delta,
     return AnyAnchorAtOrBelow(anchors, id);
   };
   size_t modified = view_.ModifyTuples([&](const Tuple& t) {
-    return RefreshedPayloads(store_, stored_node_layout_, def_.cvn(), affected,
-                             t);
+    return RefreshedPayloads(store_, plans_.stored_layout(), def_.cvn(),
+                             affected, t);
   });
   stats->tuples_modified += modified;
 }
@@ -506,7 +425,7 @@ void MaintainedView::RunPdmt(const DeletedRegion& region,
                              MaintenanceStats* stats) {
   if (def_.cvn().empty() || region.empty()) return;
   size_t modified = view_.ModifyTuples([&](const Tuple& t) {
-    return RefreshedPayloads(store_, stored_node_layout_, def_.cvn(),
+    return RefreshedPayloads(store_, plans_.stored_layout(), def_.cvn(),
                              PayloadShrank(region), t);
   });
   stats->tuples_modified += modified;

@@ -1,11 +1,9 @@
 #ifndef XVM_VIEW_MAINTAIN_H_
 #define XVM_VIEW_MAINTAIN_H_
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "algebra/exec/exec.h"
@@ -19,6 +17,7 @@
 #include "view/snapshot.h"
 #include "view/terms.h"
 #include "view/view_def.h"
+#include "view/view_plans.h"
 #include "view/view_store.h"
 
 namespace xvm {
@@ -69,22 +68,22 @@ class MaintainedView {
   const MaintainOptions& options() const { return options_; }
 
   /// Evaluates the view (with derivation counts) and materializes the
-  /// lattice snowcaps. Call once, after the store is built.
+  /// lattice snowcaps. Call once, after the store is built, on a view whose
+  /// CheckPlans() passed.
   void Initialize();
 
-  /// Static plan analysis over every operator pipeline this view's
-  /// maintenance will ever run (view/plan_check.h): base evaluation, each
-  /// Δ-rewrite union term, each snowcap-maintenance term. Returns
-  /// InvalidArgument with an operator-path diagnostic on the first
-  /// violation. ViewManager::AddView calls this before Initialize();
-  /// debug builds (XVM_CHECK_INVARIANTS=1) additionally re-run it inside
-  /// Initialize() and abort on failure.
+  /// The install gate: the first analysis or lowering failure of the
+  /// view's term-plan table (view/view_plans.h), built when this view was
+  /// constructed, as InvalidArgument with an operator-path diagnostic; then
+  /// the opt-in Δ prover (XVM_PROVE_DELTA). ViewManager::AddView calls this
+  /// before Initialize().
   Status CheckPlans() const;
 
   const ViewDefinition& def() const { return def_; }
   const MaterializedView& view() const { return view_; }
   const ViewLattice& lattice() const { return lattice_; }
-  const std::vector<NodeSet>& delta_sets() const { return delta_sets_; }
+  /// Every plan this view's maintenance runs, lowered at construction.
+  const ViewPlans& plans() const { return plans_; }
 
   /// Mutable access for the persistence layer (view/persist.h), which
   /// restores saved content in place of Initialize(). Not for general use.
@@ -95,15 +94,17 @@ class MaintainedView {
   /// update itself (the document must already reflect the update;
   /// the store must NOT yet — its canonical relations are the old R_l the
   /// union terms read). `region` restricts R-side bindings to live nodes
-  /// (required whenever the same statement also deleted nodes).
+  /// (required whenever the same statement also deleted nodes). They only
+  /// index the term-plan table, so CheckPlans() must have passed.
   void PropagateInsert(const DeltaTables& delta_plus,
                        const DeletedRegion* region, PhaseTimer* timer,
                        MaintenanceStats* stats);
   void PropagateDelete(const DeltaTables& delta_minus, PhaseTimer* timer,
                        MaintenanceStats* stats);
 
-  /// Rebuilds view + snowcaps from the (already updated) store. Used at
-  /// Initialize() and by the predicate-guard fallback.
+  /// Rebuilds view + snowcaps from the (already updated) store by running
+  /// the table's base plans. Used at Initialize() and by the
+  /// predicate-guard fallback.
   void RecomputeFromStore();
 
   /// Freezes the current view content into an immutable snapshot stamped at
@@ -133,19 +134,13 @@ class MaintainedView {
   }
 
  private:
-  friend class TermEvaluationProbe;  // test access
-
-  bool TermPruned(const NodeSet& delta_set, const NodeSet& within,
-                  const DeltaTables& delta) const;
-  Relation EvaluateTerm(const NodeSet& within, const NodeSet& delta_set,
-                        const DeltaTables& delta, const DeletedRegion* region);
-  /// Lowered physical plan of one union term, built and analyzed on first
-  /// use, then cached for the view's lifetime (plans depend only on the
-  /// pattern, the lattice shape and the key below — all fixed after
-  /// construction). Aborts if the term plan fails analysis; ViewManager
-  /// install gating (CheckPlans) rejects such views before this can run.
-  const PhysicalPlan& TermPlan(const NodeSet& within, const NodeSet& delta_set,
-                               bool r_part_materialized, bool with_region);
+  /// Indices of the Δ-sets of `space` whose terms survive pruning.
+  std::vector<size_t> SurvivingTerms(const TermSpace& space,
+                                     const DeltaTables& delta) const;
+  /// Runs one table entry: Δ leaves read `delta`, store leaves the (old)
+  /// canonical relations, a snowcap R-part its materialized rows in place.
+  Relation EvaluateTerm(const TermEntry& term, const DeltaTables& delta,
+                        const DeletedRegion* region);
   LeafSource DeltaLeafSource(const DeltaTables& delta) const;
   void MaintainSnowcapsInsert(const DeltaTables& delta,
                               const DeletedRegion* region);
@@ -157,20 +152,10 @@ class MaintainedView {
   ViewDefinition def_;
   StoreIndex* store_;
   ViewLattice lattice_;
+  // Precomputed at construction ("performed when v is created", Alg. 1).
+  ViewPlans plans_;
   MaterializedView view_;
   MaintainOptions options_;
-
-  // Precomputed at construction ("performed when v is created", Alg. 1).
-  std::vector<NodeSet> delta_sets_;
-  std::vector<std::vector<NodeSet>> snowcap_delta_sets_;  // per lattice entry
-  BindingLayout full_layout_;
-  std::vector<int> stored_cols_;      // canonical binding -> stored tuple
-  std::vector<int> removal_cols_;     // canonical binding -> stored ID cols
-  std::vector<NodeLayout> stored_node_layout_;  // node -> cols in stored tuple
-  // Lazily lowered term plans, keyed by (within, delta_set, with_region);
-  // whether the R-part is a materialized snowcap is a function of the
-  // lattice, which is fixed, so it needs no key component.
-  std::map<std::tuple<NodeSet, NodeSet, bool>, PhysicalPlan> term_plans_;
   ExecStats exec_stats_;  // accumulated by EvaluateTerm, drained by manager
 };
 

@@ -12,12 +12,6 @@ size_t NodeSetCount(const NodeSet& s) {
   return n;
 }
 
-NodeSet NodeSetComplement(const NodeSet& s) {
-  NodeSet out(s.size());
-  for (size_t i = 0; i < s.size(); ++i) out[i] = !s[i];
-  return out;
-}
-
 std::string NodeSetToString(const TreePattern& pattern, const NodeSet& s) {
   std::string out = "{";
   bool first = true;

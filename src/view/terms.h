@@ -14,7 +14,6 @@ namespace xvm {
 using NodeSet = std::vector<bool>;
 
 size_t NodeSetCount(const NodeSet& s);
-NodeSet NodeSetComplement(const NodeSet& s);
 std::string NodeSetToString(const TreePattern& pattern, const NodeSet& s);
 
 /// Enumerates the Δ-node sets of the union terms that survive the

@@ -37,7 +37,7 @@ class ViewDefinition {
   /// factories validate, so ill-formed definitions cannot be built the
   /// normal way). Lets tests exercise the install-time plan gate: mutating
   /// the pattern desynchronizes it from the precomputed tuple schema, which
-  /// AnalyzeViewPlans must then reject.
+  /// the view's term-plan table (view/view_plans.h) must then reject.
   TreePattern& mutable_pattern_for_testing() { return pattern_; }
 
   /// Labels for which a Δ− extraction must capture node string values:

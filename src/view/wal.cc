@@ -37,19 +37,6 @@ std::string ForestToXml(const Document& forest) {
   return out;
 }
 
-Status WriteFully(int fd, const char* data, size_t n, const std::string& path) {
-  size_t done = 0;
-  while (done < n) {
-    ssize_t w = ::write(fd, data + done, n - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("write to " + path + ": " + std::strerror(errno));
-    }
-    done += static_cast<size_t>(w);
-  }
-  return Status::Ok();
-}
-
 /// Parses records from `bytes` after the header; stops at the first torn or
 /// corrupt frame and reports the offset where the valid prefix ends.
 Status ScanRecords(const std::string& bytes, std::vector<WalRecord>* records,

@@ -10,8 +10,8 @@
 #include "pattern/from_xpath.h"
 #include "view/lattice.h"
 #include "view/manager.h"
-#include "view/plan_check.h"
 #include "view/view_def.h"
+#include "view/view_plans.h"
 #include "xmark/views.h"
 #include "xml/parser.h"
 
@@ -24,11 +24,10 @@ namespace {
 // the ViewManager::AddView gate; here it is checked directly for the whole
 // curated view corpus, including the snowcap/σ_alive term-plan space.
 
-std::vector<NodeSet> SnowcapNodeSets(const ViewDefinition& def) {
-  ViewLattice lattice(&def.pattern(), LatticeStrategy::kSnowcaps);
-  std::vector<NodeSet> out;
-  for (const auto& sc : lattice.snowcaps()) out.push_back(sc.nodes);
-  return out;
+/// The term-plan table AddView builds for `def` with the snowcap lattice.
+ViewPlans SnowcapTable(const ViewDefinition& def) {
+  return ViewPlans(def,
+                   ViewLattice(&def.pattern(), LatticeStrategy::kSnowcaps));
 }
 
 TEST(AnalyzeAcceptTest, AllXMarkViewPlansPass) {
@@ -44,12 +43,11 @@ TEST(AnalyzeAcceptTest, AllXMarkViewPlansPass) {
     defs.push_back(std::move(def).value());
   }
   for (const ViewDefinition& def : defs) {
-    auto report = AnalyzeViewPlans(def, SnowcapNodeSets(def));
-    ASSERT_TRUE(report.ok()) << def.name() << ": "
-                             << report.status().message();
-    EXPECT_TRUE(report->stored_ids_form_key) << def.name();
-    EXPECT_GT(report->delta_plans_checked, 0u) << def.name();
-    EXPECT_EQ(report->view_facts.schema, def.tuple_schema()) << def.name();
+    ViewPlans plans = SnowcapTable(def);
+    ASSERT_TRUE(plans.status().ok()) << def.name() << ": "
+                                     << plans.status().message();
+    EXPECT_GT(plans.view().entries.size(), 0u) << def.name();
+    EXPECT_EQ(plans.view_facts().schema, def.tuple_schema()) << def.name();
   }
 }
 
@@ -66,8 +64,9 @@ TEST(AnalyzeAcceptTest, XPathTranslationsPass) {
     ASSERT_TRUE(pattern.ok()) << xpath;
     auto def = ViewDefinition::FromPattern("v", std::move(pattern).value());
     ASSERT_TRUE(def.ok()) << xpath;
-    auto report = AnalyzeViewPlans(*def, SnowcapNodeSets(*def));
-    EXPECT_TRUE(report.ok()) << xpath << ": " << report.status().message();
+    ViewPlans plans = SnowcapTable(*def);
+    EXPECT_TRUE(plans.status().ok()) << xpath << ": "
+                                     << plans.status().message();
   }
 }
 
@@ -290,12 +289,12 @@ TEST(PlanCheckTest, CorruptedDefinitionIsRejectedWithDiagnostic) {
   // Desynchronize the pattern from the precomputed tuple schema: dropping
   // the stored val makes every plan's output schema disagree with it.
   def->mutable_pattern_for_testing().mutable_node(1).store_val = false;
-  auto report = AnalyzeViewPlans(*def, SnowcapNodeSets(*def));
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(report.status().message().find("schema mismatch"),
+  ViewPlans plans = SnowcapTable(*def);
+  ASSERT_FALSE(plans.status().ok());
+  EXPECT_EQ(plans.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plans.status().message().find("schema mismatch"),
             std::string::npos)
-      << report.status().message();
+      << plans.status().message();
 }
 
 TEST(PlanCheckTest, UnstoredIdBreaksTheViewKeyProof) {
@@ -305,8 +304,7 @@ TEST(PlanCheckTest, UnstoredIdBreaksTheViewKeyProof) {
   // column that functionally determines the payload: the stored-ID-key
   // fact PDMT relies on becomes unprovable (and the schema shifts too).
   def->mutable_pattern_for_testing().mutable_node(1).store_id = false;
-  auto report = AnalyzeViewPlans(*def, SnowcapNodeSets(*def));
-  EXPECT_FALSE(report.ok());
+  EXPECT_FALSE(SnowcapTable(*def).status().ok());
 }
 
 TEST(PlanCheckTest, ManagerRefusesViewsWhosePlansFailAnalysis) {
@@ -336,14 +334,16 @@ TEST(PlanCheckTest, ManagerRefusesViewsWhosePlansFailAnalysis) {
 
 TEST(PlanCheckTest, TermPlanCountsCoverTheUnionTermSpace) {
   // k pattern nodes in a chain: EnumerateDeltaSets yields the non-empty
-  // descendant-closed subsets; every one is checked in 4 variants.
+  // descendant-closed subsets; each is checked with σ_alive off and on
+  // (whether its R-part is a materialized snowcap is fixed by the lattice,
+  // so only the plans that can run are analyzed).
   auto def = ViewDefinition::Create("v", "//a{id}(//b{id}(//c{id}))");
   ASSERT_TRUE(def.ok());
-  auto report = AnalyzeViewPlans(*def, SnowcapNodeSets(*def));
-  ASSERT_TRUE(report.ok()) << report.status().message();
-  EXPECT_EQ(report->delta_plans_checked,
-            4 * EnumerateDeltaSets(def->pattern()).size());
-  EXPECT_GT(report->snowcap_plans_checked, 0u);
+  ViewPlans plans = SnowcapTable(*def);
+  ASSERT_TRUE(plans.status().ok()) << plans.status().message();
+  EXPECT_EQ(plans.view().entries.size(),
+            2 * EnumerateDeltaSets(def->pattern()).size());
+  EXPECT_GT(plans.term_count(), plans.view().entries.size());  // snowcaps
 }
 
 }  // namespace

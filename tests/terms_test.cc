@@ -35,7 +35,9 @@ void ExpectComplementsAreSnowcaps(const TreePattern& p,
     EXPECT_FALSE(s[0]);
     for (size_t i = 1; i < p.size(); ++i) {
       const int parent = p.node(static_cast<int>(i)).parent;
-      if (!s[i]) EXPECT_FALSE(s[static_cast<size_t>(parent)]);
+      if (!s[i]) {
+        EXPECT_FALSE(s[static_cast<size_t>(parent)]);
+      }
     }
   }
 }
@@ -165,14 +167,17 @@ TEST(LatticeTest, SingleNodeViewHasNoProperSnowcaps) {
   EXPECT_TRUE(lattice.snowcaps().empty());
 }
 
-TEST(LatticeTest, FindLocatesByNodeSet) {
+TEST(LatticeTest, ChainHoldsOnlyProperSnowcaps) {
   auto p = TreePattern::Parse("//a{id}(//b{id}(//c{id}))");
   ASSERT_TRUE(p.ok());
   ViewLattice lattice(&*p, LatticeStrategy::kSnowcaps);
-  EXPECT_NE(lattice.Find(Bits({0}, 3)), nullptr);
-  EXPECT_NE(lattice.Find(Bits({0, 1}, 3)), nullptr);
-  EXPECT_EQ(lattice.Find(Bits({0, 1, 2}, 3)), nullptr);  // full: the view
-  EXPECT_EQ(lattice.Find(Bits({1}, 3)), nullptr);        // not upward-closed
+  std::vector<NodeSet> nodes;
+  for (const MaterializedSnowcap& sc : lattice.snowcaps()) {
+    nodes.push_back(sc.nodes);
+  }
+  // {a} and {a,b}; neither the full set (the view itself) nor a set that is
+  // not upward-closed.
+  EXPECT_EQ(nodes, (std::vector<NodeSet>{Bits({0}, 3), Bits({0, 1}, 3)}));
 }
 
 }  // namespace

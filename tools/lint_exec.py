@@ -13,8 +13,16 @@ symbolic-execution oracle and the executor.
 
 Forbidden call names (harvested from src/algebra/operators.h):
   StructuralJoin SortBy DupElimWithCounts
-Every forbidden name must still be declared in that header: a name the
-header no longer declares fails the lint, so the list cannot go stale.
+
+A second rule keeps plan construction in one place. Every term plan
+maintenance runs is built and lowered once, when the view is created, by
+its term-plan table (src/view/view_plans.cc); outside src/algebra/ only
+that module may call BuildTermPlan (src/algebra/analyze/build_plan.h) or
+LowerPlan (src/algebra/exec/physical.h), and LowerPlan also from
+src/pattern/compile.cc, the one-shot pattern evaluators.
+
+Every forbidden name must still be declared in its header: a name the
+header no longer declares fails the lint, so the lists cannot go stale.
 
 tests/ and bench/ are exempt: property tests and benchmarks compare the
 executor against these kernels on purpose. A deliberate production use
@@ -30,7 +38,7 @@ import os
 import re
 import sys
 
-SCAN_DIRS = ("src", "examples")
+SCAN_DIRS = ("src", "examples", "tools")
 ALLOWED_PREFIXES = (
     os.path.join("src", "algebra") + os.sep,
 )
@@ -46,6 +54,18 @@ FORBIDDEN = (
 CALL_RE = re.compile(
     r"(?<![\w:.>])(" + "|".join(FORBIDDEN) + r")\s*\("
 )
+
+# Plan construction: name -> (declaring header, files allowed to call it
+# outside src/algebra/).
+VIEW_PLANS = os.path.join("src", "view", "view_plans.cc")
+PLAN_BUILDERS = {
+    "BuildTermPlan": (os.path.join("src", "algebra", "analyze", "build_plan.h"),
+                      (VIEW_PLANS,)),
+    "LowerPlan": (os.path.join("src", "algebra", "exec", "physical.h"),
+                  (VIEW_PLANS, os.path.join("src", "pattern", "compile.cc"))),
+}
+PLAN_CALL_RE = re.compile(r"(?<![\w:.>])(" + "|".join(PLAN_BUILDERS) +
+                          r")\s*\(")
 
 
 def strip_comments_and_strings(text):
@@ -96,18 +116,20 @@ def main():
     root = os.path.abspath(args.root)
 
     violations = []
-    header = os.path.join(root, OPERATORS_HEADER)
-    try:
-        with open(header, encoding="utf-8") as f:
-            declared = strip_comments_and_strings(f.read())
-    except OSError as e:
-        print(f"{header}: unreadable: {e}", file=sys.stderr)
-        return 2
-    for name in FORBIDDEN:
+    declared_in = [(OPERATORS_HEADER, name) for name in FORBIDDEN]
+    declared_in += [(hdr, name) for name, (hdr, _) in PLAN_BUILDERS.items()]
+    for rel_header, name in declared_in:
+        header = os.path.join(root, rel_header)
+        try:
+            with open(header, encoding="utf-8") as f:
+                declared = strip_comments_and_strings(f.read())
+        except OSError as e:
+            print(f"{header}: unreadable: {e}", file=sys.stderr)
+            return 2
         if not re.search(r"\b" + name + r"\s*\(", declared):
             violations.append(
-                (OPERATORS_HEADER, 1, "stale-forbidden-name",
-                 f"FORBIDDEN lists '{name}', which {OPERATORS_HEADER} no "
+                (rel_header, 1, "stale-forbidden-name",
+                 f"tools/lint_exec.py lists '{name}', which {rel_header} no "
                  f"longer declares — drop it from tools/lint_exec.py")
             )
 
@@ -137,6 +159,15 @@ def main():
                  f"executor (algebra/exec/), or justify with "
                  f"NOLINT(xvm-exec)")
             )
+        for m in PLAN_CALL_RE.finditer(code):
+            name = m.group(1)
+            if rel in PLAN_BUILDERS[name][1]:
+                continue
+            lineno = code.count("\n", 0, m.start()) + 1
+            violations.append(
+                (rel, lineno, "plan-outside-table",
+                 f"call to '{name}(...)' outside the term-plan table — read "
+                 f"the plan from the view's ViewPlans (view/view_plans.h)"))
 
     for rel, lineno, rule, msg in sorted(violations):
         print(f"{rel}:{lineno}: [{rule}] {msg}")

@@ -1,9 +1,10 @@
 // planlint: install-time linter for view definitions.
 //
-// Compiles each view of a .lint corpus into the tree-pattern dialect P,
-// builds the plan IR of every operator pipeline maintenance would run for
-// it (base evaluation, all Δ-rewrite union terms, all snowcap-maintenance
-// terms) and runs the static analyzer over each plan (DESIGN.md §4,
+// Compiles each view of a .lint corpus into the tree-pattern dialect P and
+// builds its term-plan table (view/view_plans.h) over the snowcap lattice
+// AddView would materialize: the same table, entry for entry, that
+// maintenance runs — base evaluation, every Δ-rewrite union term and every
+// snowcap-maintenance term, each analyzed and lowered (DESIGN.md §4,
 // "Static plan analysis"). Accepted views print their inferred facts;
 // rejected views print the compile or analysis diagnostic.
 //
@@ -14,10 +15,10 @@
 // corrupts the next view's term plans with a named, deliberately-unsound
 // rewrite — the negative corpus that well-formedness checking alone accepts.
 //
-// With --physical each accepted view instead prints the *lowered* physical
-// plans the executor will run (algebra/exec/physical.h): the base
-// evaluation plan and every Δ-rewrite union term, with the chosen kernel
-// per operator and a note explaining each statically elided sort, each
+// With --physical each accepted view instead prints the table's *lowered*
+// physical plans (algebra/exec/physical.h): the base evaluation plan and
+// every Δ-rewrite union term without σ_alive, with the chosen kernel per
+// operator and a note explaining each statically elided sort, each
 // adaptive check-then-sort and each fused scan. Goldens over this output
 // pin kernel selection byte-exactly.
 //
@@ -32,18 +33,18 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "algebra/analyze/build_plan.h"
 #include "algebra/analyze/delta_check.h"
 #include "algebra/exec/physical.h"
 #include "pattern/from_xpath.h"
 #include "view/lattice.h"
-#include "view/plan_check.h"
 #include "view/terms.h"
 #include "view/view_def.h"
+#include "view/view_plans.h"
 
 namespace xvm {
 namespace {
@@ -120,73 +121,65 @@ bool ProveView(const std::string& name, const std::string& kind,
   return true;
 }
 
+/// Builds the term-plan table of one view directive over the snowcap
+/// lattice AddView would materialize; its node sets derive from the
+/// pattern alone, so no document or store is needed. Prints the rejection
+/// and returns nullopt when the directive fails to compile or the table
+/// fails analysis.
+std::optional<ViewPlans> TableFor(const std::string& name,
+                                  const std::string& kind,
+                                  const std::string& rest,
+                                  std::optional<ViewDefinition>* def) {
+  auto compiled = CompileDirective(name, kind, rest);
+  if (!compiled.ok()) {
+    std::cout << "view " << name << ": REJECTED (compile)\n"
+              << Indent(compiled.status().message()) << "\n";
+    return std::nullopt;
+  }
+  def->emplace(std::move(compiled).value());
+  ViewPlans plans(**def, ViewLattice(&(*def)->pattern(),
+                                     LatticeStrategy::kSnowcaps));
+  if (!plans.status().ok()) {
+    std::cout << "view " << name << ": REJECTED (plan analysis)\n"
+              << Indent(plans.status().message()) << "\n";
+    return std::nullopt;
+  }
+  return plans;
+}
+
 /// Dumps the lowered physical plans of one view directive (--physical
-/// mode); returns true iff every plan lowered successfully.
+/// mode): the base plan, then each union term as the insert side runs it
+/// (the delete side only adds a σ_alive over the same kernel choices).
+/// Returns true iff the view's table was built.
 bool PhysicalView(const std::string& name, const std::string& kind,
                   const std::string& rest) {
-  auto def = CompileDirective(name, kind, rest);
-  if (!def.ok()) {
-    std::cout << "view " << name << ": REJECTED (compile)\n"
-              << Indent(def.status().message()) << "\n";
-    return false;
-  }
-  const TreePattern& pat = def->pattern();
-  ViewLattice lattice(&pat, LatticeStrategy::kSnowcaps);
-  bool ok = true;
-  auto dump = [&](const std::string& title, const PlanNode& plan) {
-    StatusOr<PhysicalPlan> phys = LowerPlan(plan);
-    if (!phys.ok()) {
-      std::cout << "view " << name << " " << title << ": REJECTED (lowering)\n"
-                << Indent(phys.status().message()) << "\n";
-      ok = false;
-      return;
-    }
+  std::optional<ViewDefinition> def;
+  std::optional<ViewPlans> plans = TableFor(name, kind, rest, &def);
+  if (!plans) return false;
+  auto dump = [&](const std::string& title, const PhysicalPlan& phys) {
     std::cout << "view " << name << " " << title << " (sorts elided "
-              << phys->sorts_elided_static << ", scans fused "
-              << phys->scans_fused << "):\n"
-              << Indent(phys->ToString()) << "\n";
+              << phys.sorts_elided_static << ", scans fused "
+              << phys.scans_fused << "):\n"
+              << Indent(phys.ToString()) << "\n";
   };
-  dump("base", *BuildViewPlan(pat));
-  // The same Δ-rewrite union terms EvaluateTerm will run (insert side;
-  // the delete side only adds a σ_alive over the same kernel choices).
-  NodeSet all(pat.size(), true);
-  for (const NodeSet& ds : EnumerateDeltaSets(pat)) {
-    NodeSet r_part(pat.size(), false);
-    bool r_empty = true;
-    for (size_t i = 0; i < pat.size(); ++i) {
-      r_part[i] = !ds[i];
-      if (r_part[i]) r_empty = false;
-    }
-    const bool mat = !r_empty && lattice.Find(r_part) != nullptr;
-    PlanNodePtr term = BuildTermPlan(pat, all, ds, mat, false);
-    dump("term delta=" + NodeSetToString(pat, ds) +
-             (mat ? " [snowcap R-part]" : ""),
-         *term);
+  const TermSpace& terms = plans->view();
+  dump("base", terms.base);
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const TermEntry& term = terms.Term(i, /*with_region=*/false);
+    dump("term delta=" + NodeSetToString(def->pattern(), term.delta_set) +
+             (term.snowcap >= 0 ? " [snowcap R-part]" : ""),
+         term.physical);
   }
-  return ok;
+  return true;
 }
 
 /// Lints one view directive; returns true iff the view was accepted.
 bool LintView(const std::string& name, const std::string& kind,
               const std::string& rest) {
-  auto def = CompileDirective(name, kind, rest);
-  if (!def.ok()) {
-    std::cout << "view " << name << ": REJECTED (compile)\n"
-              << Indent(def.status().message()) << "\n";
-    return false;
-  }
-  // The same snowcap chain AddView would materialize; its node sets are
-  // derived from the pattern alone, so no document/store is needed.
-  ViewLattice lattice(&def->pattern(), LatticeStrategy::kSnowcaps);
-  std::vector<NodeSet> snowcap_nodes;
-  for (const auto& sc : lattice.snowcaps()) snowcap_nodes.push_back(sc.nodes);
-  auto report = AnalyzeViewPlans(*def, snowcap_nodes);
-  if (!report.ok()) {
-    std::cout << "view " << name << ": REJECTED (plan analysis)\n"
-              << Indent(report.status().message()) << "\n";
-    return false;
-  }
-  std::cout << report->ToString(*def);
+  std::optional<ViewDefinition> def;
+  std::optional<ViewPlans> plans = TableFor(name, kind, rest, &def);
+  if (!plans) return false;
+  std::cout << plans->Describe(*def);
   return true;
 }
 
