@@ -12,7 +12,8 @@
 #      build error; the negative compile tests then prove the analysis
 #      actually rejects violations. Skipped with a notice when no clang++
 #      is installed (the annotations are no-ops elsewhere).
-#   4. ASan+UBSan build (-DXVM_SANITIZE=address) + full ctest run.
+#   4. ASan+UBSan build (-DXVM_SANITIZE=address, warnings as errors) + full
+#      ctest run.
 #   5. Crash-matrix leg: an explicit ASan re-run of the durability suites —
 #      the fault-injection matrix forks one child per fault-point
 #      occurrence (torn writes, missed fsyncs, kills between rename and
@@ -91,7 +92,8 @@ elif command -v clang-tidy >/dev/null 2>&1; then
   # The address build tree below exports compile_commands.json; configure it
   # first if this is the first run.
   if [[ ! -f build-asan/compile_commands.json ]]; then
-    configure build-asan -DXVM_SANITIZE=address -DXVM_CHECK_INVARIANTS=ON
+    configure build-asan -DXVM_SANITIZE=address -DXVM_CHECK_INVARIANTS=ON \
+        -DCMAKE_CXX_FLAGS=-Werror
   fi
   # shellcheck disable=SC2046
   clang-tidy -p build-asan --quiet $(find src -name '*.cc' | sort)
@@ -117,18 +119,23 @@ else
   echo "skipped (clang++ not installed; annotations are no-ops without it)"
 fi
 
+# run_config <preset> <build-dir> [extra cmake args...]
 run_config() {
   local preset="$1" bdir="$2"
+  shift 2
   step "build ($preset sanitizer)"
   if [[ "$FAST" == "0" || ! -d "$bdir" ]]; then
-    configure "$bdir" -DXVM_SANITIZE="$preset" -DXVM_CHECK_INVARIANTS=ON
+    configure "$bdir" -DXVM_SANITIZE="$preset" -DXVM_CHECK_INVARIANTS=ON "$@"
   fi
   cmake --build "$bdir" -j "$JOBS"
   step "ctest ($preset sanitizer, invariants on)"
   XVM_CHECK_INVARIANTS=1 ctest --test-dir "$bdir" --output-on-failure -j "$JOBS"
 }
 
-run_config address build-asan
+# -Werror: the tier-1 tree builds with 0 warnings (-Wall -Wextra), and this
+# leg compiles every source, test, bench and tool, so a new warning fails
+# the gate instead of waiting for someone to notice it.
+run_config address build-asan -DCMAKE_CXX_FLAGS=-Werror
 
 step "planlint (static plan analysis over the example views)"
 # The install-time analyzer must accept every example view definition and

@@ -212,12 +212,47 @@ void IvmaView::PropagateDeletedNode(
   }
 }
 
+template <typename Affected>
+void IvmaView::RefreshAllTuples(const Document& doc, const Affected& affected) {
+  // Column offsets of every pattern node in the stored tuple, once per call.
+  const TreePattern& pat = def_.pattern();
+  std::vector<NodeLayout> layout(pat.size());
+  int col = 0;
+  for (size_t i = 0; i < pat.size(); ++i) {
+    const PatternNode& n = pat.node(static_cast<int>(i));
+    if (n.store_id) layout[i].id_col = col++;
+    if (n.store_val) layout[i].val_col = col++;
+    if (n.store_cont) layout[i].cont_col = col++;
+  }
+  std::vector<std::pair<size_t, Tuple>> changed;
+  size_t pos = 0;
+  for (const CountedTuple& ct : view_.content()) {
+    std::optional<Tuple> out;
+    for (int node : def_.cvn()) {
+      const NodeLayout& l = layout[static_cast<size_t>(node)];
+      const DeweyId& id = ct.tuple[static_cast<size_t>(l.id_col)].id();
+      if (!affected(id)) continue;
+      NodeHandle h = doc.FindById(id);
+      if (h == kNullNode) continue;
+      if (!out.has_value()) out = ct.tuple;
+      if (l.val_col >= 0) {
+        (*out)[static_cast<size_t>(l.val_col)] = Value(doc.StringValue(h));
+      }
+      if (l.cont_col >= 0) {
+        (*out)[static_cast<size_t>(l.cont_col)] = Value(doc.Content(h));
+      }
+    }
+    if (out.has_value()) changed.emplace_back(pos, std::move(*out));
+    ++pos;
+  }
+  view_.ReplaceEntries(std::move(changed));
+}
+
 StatusOr<UpdateOutcome> IvmaView::ApplyAndPropagate(Document* doc,
                                                     const UpdateStmt& stmt) {
   UpdateOutcome out;
   XVM_ASSIGN_OR_RETURN(Pul pul, ComputePul(*doc, stmt, &out.timing));
 
-  const TreePattern& pat = def_.pattern();
   if (stmt.kind == UpdateStmt::Kind::kDelete) {
     // Node-at-a-time deletion propagation runs against the intact document.
     std::vector<NodeHandle> roots;
@@ -251,41 +286,10 @@ StatusOr<UpdateOutcome> IvmaView::ApplyAndPropagate(Document* doc,
       ScopedPhase phase(&out.timing, phase::kExecuteUpdate);
       std::vector<DeweyId> sorted_roots = root_ids;
       std::sort(sorted_roots.begin(), sorted_roots.end());
-      view_.ModifyTuples([&](const Tuple& t) {
-        std::optional<Tuple> out;
-        for (int node : def_.cvn()) {
-          // Column positions inside the stored tuple.
-          int col = 0, idc = -1, valc = -1, contc = -1;
-          for (size_t i = 0; i < pat.size(); ++i) {
-            const PatternNode& n = pat.node(static_cast<int>(i));
-            if (n.store_id) {
-              if (static_cast<int>(i) == node) idc = col;
-              ++col;
-            }
-            if (n.store_val) {
-              if (static_cast<int>(i) == node) valc = col;
-              ++col;
-            }
-            if (n.store_cont) {
-              if (static_cast<int>(i) == node) contc = col;
-              ++col;
-            }
-          }
-          const DeweyId& id = t[static_cast<size_t>(idc)].id();
-          auto it = std::upper_bound(sorted_roots.begin(), sorted_roots.end(),
-                                     id);
-          if (it == sorted_roots.end() || !id.IsAncestorOf(*it)) continue;
-          NodeHandle h = doc->FindById(id);
-          if (h == kNullNode) continue;
-          if (!out.has_value()) out = t;
-          if (valc >= 0) {
-            (*out)[static_cast<size_t>(valc)] = Value(doc->StringValue(h));
-          }
-          if (contc >= 0) {
-            (*out)[static_cast<size_t>(contc)] = Value(doc->Content(h));
-          }
-        }
-        return out;
+      RefreshAllTuples(*doc, [&](const DeweyId& id) {
+        auto it =
+            std::upper_bound(sorted_roots.begin(), sorted_roots.end(), id);
+        return it != sorted_roots.end() && id.IsAncestorOf(*it);
       });
     }
     return out;
@@ -308,32 +312,9 @@ StatusOr<UpdateOutcome> IvmaView::ApplyAndPropagate(Document* doc,
     // PIMT-equivalent refresh for cvn nodes above the insertion targets.
     const std::vector<DeweyId>& anchors = applied.insert_target_ids;
     if (!def_.cvn().empty() && !anchors.empty()) {
-      view_.ModifyTuples([&](const Tuple& t) {
-        std::optional<Tuple> out;
-        int col = 0;
-        for (size_t i = 0; i < pat.size(); ++i) {
-          const PatternNode& n = pat.node(static_cast<int>(i));
-          int idc = n.store_id ? col : -1;
-          col += n.store_id ? 1 : 0;
-          int valc = n.store_val ? col : -1;
-          col += n.store_val ? 1 : 0;
-          int contc = n.store_cont ? col : -1;
-          col += n.store_cont ? 1 : 0;
-          if (!n.store_val && !n.store_cont) continue;
-          const DeweyId& id = t[static_cast<size_t>(idc)].id();
-          auto it = std::lower_bound(anchors.begin(), anchors.end(), id);
-          if (it == anchors.end() || !id.IsAncestorOrSelf(*it)) continue;
-          NodeHandle h = doc->FindById(id);
-          if (h == kNullNode) continue;
-          if (!out.has_value()) out = t;
-          if (valc >= 0) {
-            (*out)[static_cast<size_t>(valc)] = Value(doc->StringValue(h));
-          }
-          if (contc >= 0) {
-            (*out)[static_cast<size_t>(contc)] = Value(doc->Content(h));
-          }
-        }
-        return out;
+      RefreshAllTuples(*doc, [&](const DeweyId& id) {
+        auto it = std::lower_bound(anchors.begin(), anchors.end(), id);
+        return it != anchors.end() && id.IsAncestorOrSelf(*it);
       });
     }
   }

@@ -61,6 +61,11 @@ class IvmaView {
       const Document& doc, int x, NodeHandle n,
       const std::function<void(const std::vector<NodeHandle>&)>& fn) const;
 
+  /// PIMT/PDMT of the baseline: walks every view tuple and re-reads from
+  /// `doc` the val/cont of each cvn node whose ID `affected` picks.
+  template <typename Affected>
+  void RefreshAllTuples(const Document& doc, const Affected& affected);
+
   /// Projects an embedding onto the view's stored tuple.
   Tuple ProjectEmbedding(const Document& doc,
                          const std::vector<NodeHandle>& bindings) const;

@@ -65,6 +65,8 @@ bool DeweyId::HasAncestorOrSelfLabeled(LabelId label) const {
 }
 
 std::strong_ordering DeweyId::operator<=>(const DeweyId& other) const {
+  // ComparePrefixes at full depth, spelled out: this is the hottest
+  // comparison of the engine (sorts, joins, binary searches).
   const size_t n = std::min(steps_.size(), other.steps_.size());
   for (size_t i = 0; i < n; ++i) {
     // Sibling position decides order; two distinct siblings never share an
@@ -76,6 +78,21 @@ std::strong_ordering DeweyId::operator<=>(const DeweyId& other) const {
     }
   }
   return steps_.size() <=> other.steps_.size();
+}
+
+std::strong_ordering DeweyId::ComparePrefixes(const DeweyId& a, size_t da,
+                                              const DeweyId& b, size_t db) {
+  da = std::min(da, a.steps_.size());
+  db = std::min(db, b.steps_.size());
+  const size_t n = std::min(da, db);
+  for (size_t i = 0; i < n; ++i) {
+    auto c = a.steps_[i].ord <=> b.steps_[i].ord;
+    if (c != std::strong_ordering::equal) return c;
+    if (a.steps_[i].label != b.steps_[i].label) {
+      return a.steps_[i].label <=> b.steps_[i].label;
+    }
+  }
+  return da <=> db;
 }
 
 std::string DeweyId::Encode() const {

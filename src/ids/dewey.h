@@ -79,6 +79,11 @@ class DeweyId {
 
   /// Document-order comparison (pre-order: ancestor < descendant).
   std::strong_ordering operator<=>(const DeweyId& other) const;
+  /// Compares the ancestor-or-self of `a` at depth `da` with that of `b` at
+  /// depth `db` in document order, without building either ID (depths are
+  /// clamped to the IDs' own).
+  static std::strong_ordering ComparePrefixes(const DeweyId& a, size_t da,
+                                              const DeweyId& b, size_t db);
   bool operator==(const DeweyId& other) const = default;
 
   /// Compact binary encoding; the encoded form is also usable as a hash/map

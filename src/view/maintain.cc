@@ -1,10 +1,10 @@
 #include "view/maintain.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "algebra/analyze/delta_check.h"
+#include "view/upkeep.h"
 
 namespace xvm {
 
@@ -63,53 +63,82 @@ void MergeInBindingOrder(std::vector<Tuple> added, MaterializedSnowcap* sc) {
   }
 }
 
-/// Re-reads from the store the val/cont payloads of row `t` for every node
-/// of `cvn` whose ID satisfies `affected` (columns per `layout`; nodes
-/// without payload columns there are skipped). Returns true iff any was
+/// True iff some payload node of row `t` has an ID `affected` picks.
+template <typename Affected>
+bool AnyPayloadAffected(const UpkeepOrder& order, const Affected& affected,
+                        const Tuple& t) {
+  return std::any_of(order.payloads.begin(), order.payloads.end(),
+                     [&](const UpkeepOrder::Payload& p) {
+                       return affected(
+                           t[static_cast<size_t>(p.cols.id_col)].id());
+                     });
+}
+
+/// Re-reads from the store the val/cont payloads of row `t` for every
+/// payload node whose ID satisfies `affected`. Returns true iff any was
 /// re-read. store->Val/Cont: the anchors were invalidated right after the
 /// PUL applied, so this recomputes once and the other views' passes over
 /// the same node hit the cache.
 template <typename Affected>
-bool RefreshPayloads(StoreIndex* store, const std::vector<NodeLayout>& layout,
-                     const std::vector<int>& cvn, const Affected& affected,
-                     Tuple* t) {
+bool RefreshPayloads(StoreIndex* store, const UpkeepOrder& order,
+                     const Affected& affected, Tuple* t) {
   bool changed = false;
-  for (int node : cvn) {
-    const NodeLayout& l = layout[static_cast<size_t>(node)];
-    if (l.val_col < 0 && l.cont_col < 0) continue;
-    const DeweyId& id = (*t)[static_cast<size_t>(l.id_col)].id();
+  for (const UpkeepOrder::Payload& p : order.payloads) {
+    const DeweyId& id = (*t)[static_cast<size_t>(p.cols.id_col)].id();
     if (!affected(id)) continue;
     NodeHandle h = store->doc().FindById(id);
     if (h == kNullNode) continue;
-    if (l.val_col >= 0) {
-      (*t)[static_cast<size_t>(l.val_col)] = Value(store->Val(h));
+    if (p.cols.val_col >= 0) {
+      (*t)[static_cast<size_t>(p.cols.val_col)] = Value(store->Val(h));
     }
-    if (l.cont_col >= 0) {
-      (*t)[static_cast<size_t>(l.cont_col)] = Value(store->Cont(h));
+    if (p.cols.cont_col >= 0) {
+      (*t)[static_cast<size_t>(p.cols.cont_col)] = Value(store->Cont(h));
     }
     changed = true;
   }
   return changed;
 }
 
-/// RefreshPayloads for an immutable view tuple: tests `t` first and copies
-/// it only when some payload node is affected; nullopt when nothing was
-/// re-read.
+/// Calls visit(i) for every row position `reach` holds; counts the rows.
+template <typename Visit>
+void ForEachReached(const Reach& reach, size_t* rows_visited,
+                    const Visit& visit) {
+  *rows_visited += reach.rows_compared;
+  for (const RowRange& range : reach.ranges) {
+    *rows_visited += range.end - range.begin;
+    for (size_t i = range.begin; i < range.end; ++i) visit(i);
+  }
+}
+
+/// PIMT/PDMT: rewrites, in one batch, the view tuples `reach` holds whose
+/// payload nodes `affected` picks. Returns the number rewritten.
 template <typename Affected>
-std::optional<Tuple> RefreshedPayloads(StoreIndex* store,
-                                       const std::vector<NodeLayout>& layout,
-                                       const std::vector<int>& cvn,
-                                       const Affected& affected,
-                                       const Tuple& t) {
-  const bool any = std::any_of(cvn.begin(), cvn.end(), [&](int node) {
-    const NodeLayout& l = layout[static_cast<size_t>(node)];
-    return (l.val_col >= 0 || l.cont_col >= 0) &&
-           affected(t[static_cast<size_t>(l.id_col)].id());
+size_t RefreshViewPayloads(StoreIndex* store, const UpkeepOrder& order,
+                           const Affected& affected, const Reach& reach,
+                           MaterializedView* view, size_t* rows_visited) {
+  std::vector<std::pair<size_t, Tuple>> changed;
+  ForEachReached(reach, rows_visited, [&](size_t i) {
+    const Tuple& t = view->content()[i].tuple;
+    if (!AnyPayloadAffected(order, affected, t)) return;
+    Tuple next = t;
+    if (RefreshPayloads(store, order, affected, &next)) {
+      changed.emplace_back(i, std::move(next));
+    }
   });
-  if (!any) return std::nullopt;
-  Tuple out = t;
-  if (!RefreshPayloads(store, layout, cvn, affected, &out)) return std::nullopt;
-  return out;
+  return view->ReplaceEntries(std::move(changed));
+}
+
+/// The snowcap counterpart of PIMT/PDMT: without it a snowcap's val/cont
+/// columns go stale, and a later term over the snowcap copies the stale
+/// payload into the view (for a node that is not an ancestor of that
+/// term's anchors, so PIMT would not repair it).
+template <typename Affected>
+void RefreshSnowcapRows(StoreIndex* store, const UpkeepOrder& order,
+                        const Affected& affected, const Reach& reach,
+                        MaterializedSnowcap* sc, size_t* rows_visited) {
+  ForEachReached(reach, rows_visited, [&](size_t i) {
+    RefreshPayloads(store, order, affected, &sc->data.rows[i]);
+  });
 }
 
 /// Affected iff some deleted subtree hung strictly below this (surviving)
@@ -120,20 +149,19 @@ auto PayloadShrank(const DeletedRegion& region) {
   };
 }
 
-/// The snowcap counterpart of PIMT/PDMT: without it a snowcap's val/cont
-/// columns go stale, and a later term over the snowcap copies the stale
-/// payload into the view (for a node that is not an ancestor of that
-/// term's anchors, so PIMT would not repair it).
-template <typename Affected>
-void RefreshSnowcapPayloads(StoreIndex* store, const std::vector<int>& cvn,
-                            const Affected& affected, MaterializedSnowcap* sc) {
-  const bool has_payloads = std::any_of(cvn.begin(), cvn.end(), [sc](int n) {
-    return sc->nodes[static_cast<size_t>(n)];
-  });
-  if (!has_payloads) return;
-  for (Tuple& row : sc->data.rows) {
-    RefreshPayloads(store, sc->layout.per_node, cvn, affected, &row);
+/// Removes the rows at `doomed` (increasing positions), keeping the binding
+/// order of the others: every row after the first doomed one moves once.
+void EraseRows(const std::vector<size_t>& doomed, std::vector<Tuple>* rows) {
+  if (doomed.empty()) return;
+  auto out = rows->begin() + static_cast<ptrdiff_t>(doomed.front());
+  for (size_t k = 0; k < doomed.size(); ++k) {
+    auto from = rows->begin() + static_cast<ptrdiff_t>(doomed[k]) + 1;
+    auto to = k + 1 < doomed.size()
+                  ? rows->begin() + static_cast<ptrdiff_t>(doomed[k + 1])
+                  : rows->end();
+    out = std::move(from, to, out);
   }
+  rows->erase(out, rows->end());
 }
 
 }  // namespace
@@ -291,6 +319,7 @@ void MaintainedView::PropagateInsert(const DeltaTables& delta_plus,
   }
   const TermSpace& terms = plans_.view();
   const bool with_region = region != nullptr && !region->empty();
+  const std::vector<LabelId> labels = PatternLabels();
 
   std::vector<size_t> surviving;
   {
@@ -315,11 +344,11 @@ void MaintainedView::PropagateInsert(const DeltaTables& delta_plus,
       }
       view_.AddDerivations(std::move(counted));
     }
-    RunPimt(delta_plus, stats);
+    RunPimt(delta_plus, labels, stats);
   }
   {
     ScopedPhase phase(timer, phase::kUpdateLattice);
-    MaintainSnowcapsInsert(delta_plus, region);
+    MaintainSnowcapsInsert(delta_plus, region, labels, stats);
   }
 }
 
@@ -333,6 +362,7 @@ void MaintainedView::PropagateDelete(const DeltaTables& delta_minus,
   }
   const TermSpace& terms = plans_.view();
   DeletedRegion region(delta_minus.anchor_ids());
+  const std::vector<LabelId> labels = PatternLabels();
 
   std::vector<size_t> surviving;
   {
@@ -357,16 +387,18 @@ void MaintainedView::PropagateDelete(const DeltaTables& delta_minus,
       }
       view_.RemoveDerivations(counted);
     }
-    RunPdmt(region, stats);
+    RunPdmt(region, labels, stats);
   }
   {
     ScopedPhase phase(timer, phase::kUpdateLattice);
-    MaintainSnowcapsDelete(region);
+    MaintainSnowcapsDelete(region, labels, stats);
   }
 }
 
 void MaintainedView::MaintainSnowcapsInsert(const DeltaTables& delta,
-                                            const DeletedRegion* region) {
+                                            const DeletedRegion* region,
+                                            const std::vector<LabelId>& labels,
+                                            MaintenanceStats* stats) {
   auto& snowcaps = lattice_.snowcaps();
   const std::vector<DeweyId>& anchors = delta.anchor_ids();
   auto affected = [&anchors](const DeweyId& id) {
@@ -385,50 +417,76 @@ void MaintainedView::MaintainSnowcapsInsert(const DeltaTables& delta,
       for (auto& row : rel.rows) added.push_back(std::move(row));
     }
     if (!added.empty()) MergeInBindingOrder(std::move(added), &sc);
-    if (!anchors.empty()) {
-      RefreshSnowcapPayloads(store_, def_.cvn(), affected, &sc);
-    }
+    const Reach reach = ReachPayloadAncestors(terms.upkeep, labels, anchors,
+                                              SortedRows(sc.data.rows));
+    RefreshSnowcapRows(store_, terms.upkeep, affected, reach, &sc,
+                       &stats->upkeep_rows_visited);
   }
 }
 
-void MaintainedView::MaintainSnowcapsDelete(const DeletedRegion& region) {
-  for (auto& sc : lattice_.snowcaps()) {
-    const std::vector<int> id_cols = BindingOrder(sc.layout);
-    // erase_if keeps the survivors' (binding) order.
-    std::erase_if(sc.data.rows, [&](const Tuple& row) {
-      for (int col : id_cols) {
-        if (region.Covers(row[static_cast<size_t>(col)].id())) return true;
+void MaintainedView::MaintainSnowcapsDelete(const DeletedRegion& region,
+                                            const std::vector<LabelId>& labels,
+                                            MaintenanceStats* stats) {
+  auto& snowcaps = lattice_.snowcaps();
+  for (size_t idx = 0; idx < snowcaps.size(); ++idx) {
+    MaterializedSnowcap& sc = snowcaps[idx];
+    const UpkeepOrder& order = plans_.snowcaps()[idx].upkeep;
+    std::vector<size_t> doomed;
+    const Reach covered = ReachCoveredRows(order, labels, region.roots(),
+                                           SortedRows(sc.data.rows));
+    ForEachReached(covered, &stats->upkeep_rows_visited, [&](size_t i) {
+      const Tuple& row = sc.data.rows[i];
+      for (const UpkeepOrder::Key& key : order.keys) {
+        if (region.Covers(row[static_cast<size_t>(key.col)].id())) {
+          doomed.push_back(i);
+          return;
+        }
       }
-      return false;
     });
-    RefreshSnowcapPayloads(store_, def_.cvn(), PayloadShrank(region), &sc);
+    EraseRows(doomed, &sc.data.rows);
+    const Reach reach = ReachPayloadAncestors(order, labels, region.roots(),
+                                              SortedRows(sc.data.rows));
+    RefreshSnowcapRows(store_, order, PayloadShrank(region), reach, &sc,
+                       &stats->upkeep_rows_visited);
   }
 }
 
 void MaintainedView::RunPimt(const DeltaTables& delta,
+                             const std::vector<LabelId>& labels,
                              MaintenanceStats* stats) {
-  if (def_.cvn().empty() || delta.anchor_ids().empty()) return;
   const std::vector<DeweyId>& anchors = delta.anchor_ids();
   // Alg. 4: t.n = n_i or t.n ≺≺ n_i — the stored node is, or is an ancestor
   // of, an insertion target; its val/cont absorbed new data.
   auto affected = [&anchors](const DeweyId& id) {
     return AnyAnchorAtOrBelow(anchors, id);
   };
-  size_t modified = view_.ModifyTuples([&](const Tuple& t) {
-    return RefreshedPayloads(store_, plans_.stored_layout(), def_.cvn(),
-                             affected, t);
-  });
-  stats->tuples_modified += modified;
+  const UpkeepOrder& order = plans_.view().upkeep;
+  const Reach reach = ReachPayloadAncestors(order, labels, anchors,
+                                            SortedRows(view_.content()));
+  stats->tuples_modified +=
+      RefreshViewPayloads(store_, order, affected, reach, &view_,
+                          &stats->upkeep_rows_visited);
 }
 
 void MaintainedView::RunPdmt(const DeletedRegion& region,
+                             const std::vector<LabelId>& labels,
                              MaintenanceStats* stats) {
-  if (def_.cvn().empty() || region.empty()) return;
-  size_t modified = view_.ModifyTuples([&](const Tuple& t) {
-    return RefreshedPayloads(store_, plans_.stored_layout(), def_.cvn(),
-                             PayloadShrank(region), t);
-  });
-  stats->tuples_modified += modified;
+  const UpkeepOrder& order = plans_.view().upkeep;
+  const Reach reach = ReachPayloadAncestors(order, labels, region.roots(),
+                                            SortedRows(view_.content()));
+  stats->tuples_modified +=
+      RefreshViewPayloads(store_, order, PayloadShrank(region), reach, &view_,
+                          &stats->upkeep_rows_visited);
+}
+
+std::vector<LabelId> MaintainedView::PatternLabels() const {
+  const LabelDict& dict = store_->doc().dict();
+  std::vector<LabelId> out;
+  out.reserve(def_.pattern().size());
+  for (const PatternNode& n : def_.pattern().nodes()) {
+    out.push_back(dict.Lookup(n.label));
+  }
+  return out;
 }
 
 }  // namespace xvm

@@ -142,11 +142,23 @@ class MaintainedView {
   Relation EvaluateTerm(const TermEntry& term, const DeltaTables& delta,
                         const DeletedRegion* region);
   LeafSource DeltaLeafSource(const DeltaTables& delta) const;
+  /// Upkeep (snowcap terms and payloads, PIMT, PDMT) visits only the rows
+  /// the Δ can reach (view/upkeep.h); `labels` is PatternLabels().
   void MaintainSnowcapsInsert(const DeltaTables& delta,
-                              const DeletedRegion* region);
-  void MaintainSnowcapsDelete(const DeletedRegion& region);
-  void RunPimt(const DeltaTables& delta, MaintenanceStats* stats);
-  void RunPdmt(const DeletedRegion& region, MaintenanceStats* stats);
+                              const DeletedRegion* region,
+                              const std::vector<LabelId>& labels,
+                              MaintenanceStats* stats);
+  void MaintainSnowcapsDelete(const DeletedRegion& region,
+                              const std::vector<LabelId>& labels,
+                              MaintenanceStats* stats);
+  void RunPimt(const DeltaTables& delta, const std::vector<LabelId>& labels,
+               MaintenanceStats* stats);
+  void RunPdmt(const DeletedRegion& region, const std::vector<LabelId>& labels,
+               MaintenanceStats* stats);
+  /// The label ID of every pattern node (kInvalidLabel when the document
+  /// has none), resolved per statement: labels are interned as documents
+  /// change.
+  std::vector<LabelId> PatternLabels() const;
   bool PredicateGuardTriggered(const DeltaTables& delta) const;
 
   ViewDefinition def_;

@@ -497,6 +497,8 @@ void ViewManager::RecordMetrics(const MultiUpdateOutcome& out) {
     metrics_->AddCounter(name, "derivations_removed", s.derivations_removed);
     metrics_->AddCounter(name, "tuples_modified",
                          static_cast<int64_t>(s.tuples_modified));
+    metrics_->AddCounter(name, "upkeep_rows_visited",
+                         static_cast<int64_t>(s.upkeep_rows_visited));
     if (s.recompute_fallback) {
       metrics_->AddCounter(name, "recompute_fallbacks", 1);
     }

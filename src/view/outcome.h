@@ -17,6 +17,10 @@ struct MaintenanceStats {
   int64_t derivations_added = 0;
   int64_t derivations_removed = 0;
   size_t tuples_modified = 0;       // PIMT / PDMT rewrites
+  /// View tuples and snowcap rows that PIMT, PDMT and snowcap upkeep
+  /// compared: their binary-search probes plus the rows of the groups
+  /// those found (view/upkeep.h).
+  size_t upkeep_rows_visited = 0;
   bool recompute_fallback = false;  // predicate-guard / baseline recompute
 };
 

@@ -145,6 +145,7 @@ Status ViewPlans::Populate(const ViewDefinition& def,
         view_facts_.ToString());
   }
   XVM_ASSIGN_OR_RETURN(view_.base, LowerPlan(*view_plan));
+  view_.upkeep = MakeUpkeepOrder(pat, stored_layout_, def.cvn());
 
   // The view's union terms: both σ_alive modes (pure inserts vs statements
   // that also delete); whether the R-part is a materialized snowcap is
@@ -172,6 +173,7 @@ Status ViewPlans::Populate(const ViewDefinition& def,
     XVM_RETURN_IF_ERROR(AddTerms(def, lattice,
                                  EnumerateDeltaSetsWithin(pat, sc.nodes),
                                  sc.layout.schema, &space));
+    space.upkeep = MakeUpkeepOrder(pat, sc.layout.per_node, def.cvn());
     snowcaps_.push_back(std::move(space));
   }
   return Status::Ok();

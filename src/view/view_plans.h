@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "view/lattice.h"
 #include "view/terms.h"
+#include "view/upkeep.h"
 #include "view/view_def.h"
 
 namespace xvm {
@@ -37,6 +38,8 @@ struct TermSpace {
   /// Lowered BuildViewPlan for the view (run with derivation counts),
   /// lowered BuildPatternPlan over `within` for a snowcap.
   PhysicalPlan base;
+  /// How PIMT/PDMT (the view) or snowcap upkeep finds the rows a Δ reaches.
+  UpkeepOrder upkeep;
 
   /// Number of Δ-sets.
   size_t size() const { return entries.size() / 2; }

@@ -258,6 +258,15 @@ void MaterializedView::FixStarts(size_t c) {
   XVM_CHECK(pos == content_.size_);
 }
 
+std::pair<size_t, size_t> MaterializedView::Locate(size_t pos) const {
+  XVM_CHECK(pos < content_.size_);
+  const auto& starts = content_.starts_;
+  const size_t c = static_cast<size_t>(
+      std::upper_bound(starts.begin(), starts.end(), pos) - starts.begin() -
+      1);
+  return {c, pos - starts[c]};
+}
+
 void MaterializedView::AddDerivations(std::vector<CountedTuple> batch) {
   if (batch.empty()) return;
   auto less = [this](const CountedTuple& a, const CountedTuple& b) {
@@ -415,31 +424,22 @@ int64_t MaterializedView::CountOf(const Tuple& tuple) const {
   return 0;
 }
 
-size_t MaterializedView::ModifyTuples(
-    const std::function<std::optional<Tuple>(const Tuple&)>& rewrite) {
-  size_t modified = 0;
-  for (size_t c = 0; c < content_.chunks_.size(); ++c) {
-    ViewChunk* chunk = nullptr;  // set once a row of this chunk changes
-    const size_t n = content_.chunks_[c]->entries.size();
-    for (size_t k = 0; k < n; ++k) {
-      std::optional<Tuple> next =
-          rewrite(content_.chunks_[c]->entries[k]->ct.tuple);
-      if (!next.has_value()) continue;
-      ++modified;
-      if (chunk == nullptr) chunk = MutableChunk(c);
-      EntryPtr& slot = chunk->entries[k];
-      if (slot->epoch == epoch_) {
-        slot->ct.tuple = std::move(*next);
-        continue;
-      }
-      EntryPtr fresh =
-          NewEntry(std::move(*next), slot->ct.count, slot->id_key, slot->hash);
-      MutableShard(slot->hash)->Replace(slot.get(), fresh.get());
-      slot = std::move(fresh);
+size_t MaterializedView::ReplaceEntries(
+    std::vector<std::pair<size_t, Tuple>> replacements) {
+  for (auto& [pos, tuple] : replacements) {
+    const auto [c, k] = Locate(pos);
+    EntryPtr& slot = MutableChunk(c)->entries[k];
+    if (slot->epoch == epoch_) {
+      slot->ct.tuple = std::move(tuple);
+      continue;
     }
+    EntryPtr fresh =
+        NewEntry(std::move(tuple), slot->ct.count, slot->id_key, slot->hash);
+    MutableShard(slot->hash)->Replace(slot.get(), fresh.get());
+    slot = std::move(fresh);
   }
-  if (modified > 0) ++version_;
-  return modified;
+  if (!replacements.empty()) ++version_;
+  return replacements.size();
 }
 
 void MaterializedView::Reset(std::vector<CountedTuple> content) {
@@ -567,15 +567,8 @@ std::vector<std::string> MaterializedView::CheckStructure() const {
 }
 
 void MaterializedView::SwapEntriesForTesting(size_t i, size_t j) {
-  auto locate = [this](size_t p) {
-    const auto& starts = content_.starts_;
-    const size_t c = static_cast<size_t>(
-        std::upper_bound(starts.begin(), starts.end(), p) - starts.begin() -
-        1);
-    return std::make_pair(c, p - starts[c]);
-  };
-  const auto [ci, ki] = locate(i);
-  const auto [cj, kj] = locate(j);
+  const auto [ci, ki] = Locate(i);
+  const auto [cj, kj] = Locate(j);
   std::swap(MutableChunk(ci)->entries[ki], MutableChunk(cj)->entries[kj]);
   ++version_;
 }

@@ -4,12 +4,11 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "algebra/operators.h"
@@ -67,7 +66,10 @@ struct IndexShard {
 /// every chunk the writer has not rewritten since.
 ///
 /// Canonical order equals ID-column order: every val/cont column follows its
-/// own node's ID column, and the ID projection identifies a tuple.
+/// own node's ID column, and the ID projection identifies a tuple. Upkeep
+/// relies on it: the tuples an update can reach share leading ID columns,
+/// so they form contiguous position ranges found by binary search over
+/// operator[] (view/upkeep.h).
 class ViewContent {
  public:
   class const_iterator {
@@ -152,7 +154,8 @@ class ViewContent {
 /// The materialized content of a view: projected tuples with their
 /// derivation counts (paper §2.2). A tuple lives in the view while its
 /// count is positive; maintenance adds derivations (PINT), removes them
-/// (PDDT) and rewrites val/cont payloads (PIMT/PDMT).
+/// (PDDT) and rewrites the val/cont payloads of the tuples PIMT/PDMT found
+/// by position (ReplaceEntries).
 ///
 /// The writer of a ViewContent. Copy-on-write by epoch: every chunk, shard
 /// and entry records the epoch that created it, and Freeze() — the only way
@@ -217,11 +220,14 @@ class MaterializedView {
     return content_.FindByIdKey(id_key);
   }
 
-  /// Calls `rewrite` on every stored tuple; a returned tuple replaces it
-  /// (ID columns must not change). Only a chunk holding a replaced tuple is
-  /// copied. Returns the number of tuples replaced.
-  size_t ModifyTuples(
-      const std::function<std::optional<Tuple>(const Tuple&)>& rewrite);
+  /// Replaces the tuples at the given positions (canonical order, strictly
+  /// increasing) by the paired tuples, which must have the same ID columns
+  /// (PIMT/PDMT rewrite payloads only); counts are kept. Each position is
+  /// located through the chunk start table, so this costs O(k log #chunks)
+  /// and never visits the other tuples. Only a chunk holding a replaced
+  /// tuple is copied, and only the index shards of replaced entries a
+  /// snapshot shares. Returns the number replaced.
+  size_t ReplaceEntries(std::vector<std::pair<size_t, Tuple>> replacements);
 
   /// Ordered copy of the content, O(|view|): for tests and diffs.
   std::vector<CountedTuple> Snapshot() const {
@@ -285,6 +291,8 @@ class MaterializedView {
   size_t ReplaceChunk(size_t c, std::vector<EntryPtr> entries);
   /// Recomputes starts_ from chunk `c` on.
   void FixStarts(size_t c);
+  /// The chunk holding canonical position `pos` and the slot within it.
+  std::pair<size_t, size_t> Locate(size_t pos) const;
 
   Schema schema_;
   std::vector<int> id_cols_;

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -135,18 +134,24 @@ TEST(ViewStoreCowTest, RandomSequencesMatchModelAndSnapshotsStayFrozen) {
         if (k % mod == hit || k % mod == (hit + 1) % mod) ++want_modified;
         if (k % mod == hit) row.val = val;
       }
-      size_t modified = view.ModifyTuples(
-          [&](const Tuple& t) -> std::optional<Tuple> {
-            const int64_t a = t[0].id().steps().back().ord.components()[0];
-            const int64_t b = t[1].id().steps().back().ord.components()[0];
-            const int64_t k = a * 4 + b;
-            if (k % mod == (hit + 1) % mod && k % mod != hit) return t;
-            if (k % mod != hit) return std::nullopt;
-            Tuple out = t;
-            out[2] = Value(val);
-            return out;
-          });
-      EXPECT_EQ(modified, want_modified) << at;
+      std::vector<std::pair<size_t, Tuple>> replacements;
+      size_t pos = 0;
+      for (const CountedTuple& ct : view.content()) {
+        const Tuple& t = ct.tuple;
+        const int64_t a = t[0].id().steps().back().ord.components()[0];
+        const int64_t b = t[1].id().steps().back().ord.components()[0];
+        const int64_t k = a * 4 + b;
+        if (k % mod == hit) {
+          Tuple out = t;
+          out[2] = Value(val);
+          replacements.emplace_back(pos, std::move(out));
+        } else if (k % mod == (hit + 1) % mod) {
+          replacements.emplace_back(pos, t);
+        }
+        ++pos;
+      }
+      EXPECT_EQ(view.ReplaceEntries(std::move(replacements)), want_modified)
+          << at;
     } else {
       held.push_back(Held{view.Freeze(), ModelContent(model)});
     }
@@ -309,12 +314,17 @@ TEST(ViewStoreCowTest, ReadersScanHeldSnapshotsWhileWriterMutates) {
     }
     view.AddDerivations(std::move(adds));
     view.RemoveDerivations(removes);
-    view.ModifyTuples([round](const Tuple& t) -> std::optional<Tuple> {
-      if (t[2].str() != "r") return std::nullopt;
-      Tuple out = t;
-      out[2] = Value("r" + std::to_string(round));
-      return out;
-    });
+    std::vector<std::pair<size_t, Tuple>> replacements;
+    size_t pos = 0;
+    for (const CountedTuple& ct : view.content()) {
+      if (ct.tuple[2].str() == "r") {
+        Tuple out = ct.tuple;
+        out[2] = Value("r" + std::to_string(round));
+        replacements.emplace_back(pos, std::move(out));
+      }
+      ++pos;
+    }
+    view.ReplaceEntries(std::move(replacements));
     std::shared_ptr<const ViewContent> next = view.Freeze();
     MutexLock lock(mu);
     latest = std::move(next);

@@ -71,19 +71,23 @@ TEST(MaterializedViewTest, FindByIdKey) {
   EXPECT_EQ(v.FindByIdKey("absent"), nullptr);
 }
 
-TEST(MaterializedViewTest, ModifyTuplesRewritesPayload) {
+TEST(MaterializedViewTest, ReplaceEntriesRewritesPayload) {
   MaterializedView v(TwoColSchema());
   v.AddDerivations(MakeTuple(0, "old"), 2);
   v.AddDerivations(MakeTuple(1, "keep"), 1);
-  size_t modified = v.ModifyTuples([](const Tuple& t) -> std::optional<Tuple> {
-    if (t[1].str() != "old") return std::nullopt;
-    Tuple out = t;
-    out[1] = Value(std::string("new"));
-    return out;
-  });
-  EXPECT_EQ(modified, 1u);
+  const uint64_t version = v.version();
+  std::vector<std::pair<size_t, Tuple>> replacements;
+  replacements.emplace_back(0, MakeTuple(0, "new"));
+  EXPECT_EQ(v.ReplaceEntries(std::move(replacements)), 1u);
+  EXPECT_GT(v.version(), version);
   EXPECT_EQ(v.CountOf(MakeTuple(0, "new")), 2);
   EXPECT_EQ(v.CountOf(MakeTuple(0, "old")), 0);
+  EXPECT_EQ(v.CountOf(MakeTuple(1, "keep")), 1);
+  EXPECT_EQ(v.FindByIdKey(v.IdKeyOf(MakeTuple(0, "")))->tuple[1].str(), "new");
+  EXPECT_TRUE(v.CheckStructure().empty());
+  // Nothing to replace: the content and its version stay.
+  EXPECT_EQ(v.ReplaceEntries({}), 0u);
+  EXPECT_EQ(v.version(), version + 1);
 }
 
 TEST(MaterializedViewTest, SnapshotSortedAndResetRoundTrip) {
