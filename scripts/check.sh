@@ -35,6 +35,9 @@
 #      headers — and runs each workload for 1 s on a 64 KB document,
 #      checking that the replica stays bit-identical to the ViewManager and
 #      that views equal recompute.
+#  11. Paper-figure report (scripts/bench_figs.py --diff): every bench_fig*
+#      of the plain build/ tree against BENCH_figs.json. Report only: it
+#      prints and never fails the gate.
 #
 # Every configuration is exported with CMAKE_EXPORT_COMPILE_COMMANDS=ON so
 # clang-tidy and the thread-safety leg analyze against the real flags of a
@@ -209,5 +212,17 @@ step "perfbench (end-to-end benchmark self-test)"
 # Nothing else builds perfbench/, so a header change that breaks the traced
 # replica, or a pipeline change it no longer mirrors, fails here.
 python3 perfbench/tests/selftest.py
+
+step "paper figures (report only: this tree vs BENCH_figs.json)"
+# The paper-figure trajectory: every bench_fig* of a RelWithDebInfo build at
+# the committed scale, against the last run recorded in BENCH_figs.json.
+# Timings on a shared host are noisy, so this prints and never fails; a row
+# whose node or tuple counts moved is the thing to read.
+if cmake -B build -S . >/dev/null && cmake --build build -j "$JOBS" >/dev/null; then
+  python3 scripts/bench_figs.py --build build --diff BENCH_figs.json ||
+    echo "note: the paper-figure report did not complete"
+else
+  echo "note: build/ did not build; paper-figure report skipped"
+fi
 
 step "all checks passed"

@@ -45,6 +45,12 @@ bool EvalPredicates(const std::vector<PlanPredicate>& preds, const Tuple& row,
   return true;
 }
 
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 /// A node result that is either owned or borrowed in place (snowcap scans
 /// and the pass-through kernels above them never copy the relation).
 struct RelRef {
@@ -78,6 +84,7 @@ class PhysExecutor {
 
  private:
   Status ExecNode(size_t i) {
+    const auto start = std::chrono::steady_clock::now();
     const PhysNode& n = plan_.nodes[static_cast<size_t>(i)];
     int64_t rows_in = 0;
     for (int in : n.inputs) {
@@ -220,6 +227,7 @@ class PhysExecutor {
     ks.rows_in += rows_in;
     ks.rows_out += static_cast<int64_t>(out.get().size());
     results_[i] = std::move(out);
+    ks.ms += MsSince(start);
     return Status::Ok();
   }
 
@@ -275,12 +283,6 @@ class PhysExecutor {
   ExecStats stats_;
 };
 
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 void FinishStats(const PhysicalPlan& plan, PhysExecutor* exec,
                  const PhysExecContext& ctx,
                  std::chrono::steady_clock::time_point start) {
@@ -299,6 +301,7 @@ void ExecStats::MergeFrom(const ExecStats& other) {
     kernels[k].invocations += other.kernels[k].invocations;
     kernels[k].rows_in += other.kernels[k].rows_in;
     kernels[k].rows_out += other.kernels[k].rows_out;
+    kernels[k].ms += other.kernels[k].ms;
   }
   plans_executed += other.plans_executed;
   sorts_elided_static += other.sorts_elided_static;
@@ -328,6 +331,7 @@ void FlushExecStats(const ExecStats& delta, MetricsRegistry* metrics) {
                         ks.invocations);
     metrics->AddCounter(kExecMetricsView, name + ".rows_in", ks.rows_in);
     metrics->AddCounter(kExecMetricsView, name + ".rows_out", ks.rows_out);
+    metrics->RecordPhase(kExecMetricsView, name + ".ms", ks.ms);
   }
 }
 
@@ -353,6 +357,7 @@ StatusOr<std::vector<CountedTuple>> ExecutePhysicalPlanWithCounts(
   PhysExecutor exec(plan, ctx);
   // Execute everything below the root, then group with counts directly.
   XVM_RETURN_IF_ERROR(exec.RunNodes(plan.nodes.size() - 1));
+  const auto root_start = std::chrono::steady_clock::now();
   const Relation& in =
       exec.result(static_cast<size_t>(root.inputs[0])).get();
   std::vector<CountedTuple> out;
@@ -372,6 +377,7 @@ StatusOr<std::vector<CountedTuple>> ExecutePhysicalPlanWithCounts(
   ++ks.invocations;
   ks.rows_in += static_cast<int64_t>(in.size());
   ks.rows_out += static_cast<int64_t>(out.size());
+  ks.ms += MsSince(root_start);
   FinishStats(plan, &exec, ctx, start);
   return out;
 }

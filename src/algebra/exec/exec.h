@@ -29,11 +29,14 @@ namespace xvm {
 /// Pseudo-view name the executor's metrics are reported under.
 inline constexpr char kExecMetricsView[] = "__exec__";
 
-/// Per-kernel row accounting.
+/// Per-kernel row and time accounting.
 struct ExecKernelStats {
   int64_t invocations = 0;
   int64_t rows_in = 0;
   int64_t rows_out = 0;
+  /// Wall time inside the kernel, leaf resolution included; the kernels of
+  /// one plan sum to at most its exec_ms.
+  double ms = 0.0;
 };
 
 /// Accumulated executor statistics. Plain data, single-writer: callers keep
@@ -57,8 +60,9 @@ struct ExecStats {
 
 /// Flushes `delta` (the stats accumulated since the last flush) into
 /// `metrics` under the "__exec__" pseudo-view: one "execute_plan" phase
-/// sample covering delta.exec_ms, a rows_in/rows_out/invocations counter
-/// triple per kernel name, and the elision/fusion counters (see DESIGN.md
+/// sample covering delta.exec_ms, per kernel name a rows_in/rows_out/
+/// invocations counter triple and a "<kernel>.ms" phase sample, and the
+/// elision/fusion counters (see DESIGN.md
 /// §"Physical execution"). No-op when delta.plans_executed == 0.
 void FlushExecStats(const ExecStats& delta, MetricsRegistry* metrics);
 
@@ -73,7 +77,8 @@ struct PhysExecContext {
   std::function<Relation(int node_idx)> store_leaf;
   /// Resolves the Δ table of pattern node `node_idx` (kDeltaScan leaves).
   std::function<Relation(int node_idx)> delta_leaf;
-  /// Borrows the materialized snowcap relation of a kSnowcapScan leaf. The
+  /// Borrows the materialized snowcap relation of a kSnowcapScan leaf, or
+  /// the sorted subset of its rows the caller's Δ bound reaches. The
   /// relation is read in place — never copied — and must stay alive and
   /// unmodified for the duration of the ExecutePhysicalPlan call.
   std::function<const Relation*(const PhysNode& leaf)> snowcap_leaf;

@@ -8,7 +8,8 @@
 namespace xvm {
 
 Relation ScanRelation(const StoreIndex& store, LabelId label,
-                      const std::string& col_prefix, const ScanAttrs& attrs) {
+                      const std::string& col_prefix, const ScanAttrs& attrs,
+                      const std::vector<size_t>* positions) {
   Relation out;
   out.schema.Add({col_prefix + ".ID", ValueKind::kId});
   if (attrs.val) out.schema.Add({col_prefix + ".val", ValueKind::kString});
@@ -16,8 +17,7 @@ Relation ScanRelation(const StoreIndex& store, LabelId label,
 
   const CanonicalRelation& rel = store.Relation(label);
   const Document& doc = store.doc();
-  out.rows.reserve(rel.size());
-  for (NodeHandle h : rel.nodes()) {
+  auto read = [&](NodeHandle h) {
     Tuple t;
     t.emplace_back(doc.node(h).id);
     // store.Val/Cont serve the delta-aware cache (dead nodes — present in
@@ -25,6 +25,13 @@ Relation ScanRelation(const StoreIndex& store, LabelId label,
     if (attrs.val) t.emplace_back(store.Val(h));
     if (attrs.cont) t.emplace_back(store.Cont(h));
     out.rows.push_back(std::move(t));
+  };
+  if (positions == nullptr) {
+    out.rows.reserve(rel.size());
+    for (NodeHandle h : rel.nodes()) read(h);
+  } else {
+    out.rows.reserve(positions->size());
+    for (size_t i : *positions) read(rel.nodes()[i]);
   }
   return out;
 }

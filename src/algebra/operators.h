@@ -23,9 +23,12 @@ struct ScanAttrs {
 };
 
 /// Scans the canonical relation of `label`, producing columns
-/// "<name>.ID" [, "<name>.val"][, "<name>.cont"], in document order.
+/// "<name>.ID" [, "<name>.val"][, "<name>.cont"], in document order. With
+/// `positions` (increasing positions in the relation) only those rows are
+/// read, and only their val/cont are fetched; null reads every row.
 Relation ScanRelation(const StoreIndex& store, LabelId label,
-                      const std::string& col_prefix, const ScanAttrs& attrs);
+                      const std::string& col_prefix, const ScanAttrs& attrs,
+                      const std::vector<size_t>* positions = nullptr);
 
 /// π_cols: keeps columns at `cols` (in that order).
 Relation Project(const Relation& in, const std::vector<int>& cols);

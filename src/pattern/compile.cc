@@ -64,21 +64,25 @@ Schema LeafSchema(const PatternNode& n) {
   return schema;
 }
 
+Relation ScanLeaf(const StoreIndex& store, const PatternNode& n,
+                  const std::vector<size_t>* positions) {
+  LabelId label = store.doc().dict().Lookup(n.label);
+  if (label == kInvalidLabel) {
+    // Label never seen in this document: empty relation, correct schema.
+    Relation empty;
+    empty.schema = LeafSchema(n);
+    return empty;
+  }
+  ScanAttrs attrs;
+  attrs.val = n.store_val || n.val_pred.has_value();
+  attrs.cont = n.store_cont;
+  return ScanRelation(store, label, n.name, attrs, positions);
+}
+
 LeafSource StoreLeafSource(const StoreIndex* store,
                            const TreePattern* pattern) {
   return [store, pattern](int node_idx) -> Relation {
-    const PatternNode& n = pattern->node(node_idx);
-    LabelId label = store->doc().dict().Lookup(n.label);
-    if (label == kInvalidLabel) {
-      // Label never seen in this document: empty relation, correct schema.
-      Relation empty;
-      empty.schema = LeafSchema(n);
-      return empty;
-    }
-    ScanAttrs attrs;
-    attrs.val = n.store_val || n.val_pred.has_value();
-    attrs.cont = n.store_cont;
-    return ScanRelation(*store, label, n.name, attrs);
+    return ScanLeaf(*store, pattern->node(node_idx));
   };
 }
 

@@ -46,13 +46,23 @@ std::vector<int> BindingOrder(const BindingLayout& layout);
 Schema LeafSchema(const PatternNode& n);
 
 /// Supplies the leaf relation of pattern node `i`. Contract: the returned
-/// relation has the columns of LeafSchema and its rows are sorted by the ID
-/// column. The default source scans the canonical relation R_label;
-/// maintenance substitutes delta tables for selected nodes (the heart of
-/// the paper's approach).
+/// relation has the columns of LeafSchema and its rows are sorted by, and
+/// unique on, the ID column. The default source scans the canonical
+/// relation R_label; maintenance substitutes delta tables for selected
+/// nodes (the heart of the paper's approach), and reads each remaining
+/// store leaf of a union term as the sorted subset of R_label the
+/// statement's Δ can reach (view/term_bounds.h), or whole past the probe
+/// budget — either way a sorted subset of the same relation, so the
+/// contract holds.
 using LeafSource = std::function<Relation(int node_idx)>;
 
-/// Leaf source reading from the canonical-relation store.
+/// The store leaf of pattern node `n`: the rows of R_label at `positions`
+/// (increasing), or every row when null; an empty relation with the leaf
+/// schema when the document lacks the label.
+Relation ScanLeaf(const StoreIndex& store, const PatternNode& n,
+                  const std::vector<size_t>* positions = nullptr);
+
+/// Leaf source reading whole relations from the canonical-relation store.
 LeafSource StoreLeafSource(const StoreIndex* store, const TreePattern* pattern);
 
 /// Evaluates the (sub-)pattern as a full binding relation: the algebraic

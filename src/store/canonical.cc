@@ -2,11 +2,38 @@
 
 #include <algorithm>
 
+#include "common/gallop.h"
 #include "common/status.h"
 
 namespace xvm {
 
 const CanonicalRelation StoreIndex::kEmpty;
+
+size_t CanonicalRelation::Find(const Document& doc, const DeweyId& id,
+                               size_t depth, size_t* cursor) const {
+  auto cmp = [&](size_t i) {
+    const DeweyId& x = doc.node(nodes_[i]).id;
+    return DeweyId::ComparePrefixes(x, x.depth(), id, depth);
+  };
+  *cursor =
+      Gallop(*cursor, nodes_.size(), [&](size_t i) { return cmp(i) < 0; });
+  return *cursor < nodes_.size() && cmp(*cursor) == 0 ? *cursor
+                                                      : nodes_.size();
+}
+
+std::pair<size_t, size_t> CanonicalRelation::DescendantRange(
+    const Document& doc, const DeweyId& id, size_t from) const {
+  const size_t first = Gallop(from, nodes_.size(), [&](size_t i) {
+    return doc.node(nodes_[i]).id <= id;
+  });
+  // Past `id`, a descendant shares its first depth() steps; the first node
+  // that does not ends the subtree.
+  const size_t last = Gallop(first, nodes_.size(), [&](size_t i) {
+    return DeweyId::ComparePrefixes(doc.node(nodes_[i]).id, id.depth(), id,
+                                    id.depth()) == 0;
+  });
+  return {first, last};
+}
 
 void StoreIndex::Build() {
   relations_.clear();

@@ -1,8 +1,10 @@
 #ifndef XVM_STORE_CANONICAL_H_
 #define XVM_STORE_CANONICAL_H_
 
+#include <cstddef>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "store/valcont_cache.h"
@@ -23,6 +25,23 @@ class CanonicalRelation {
   const std::vector<NodeHandle>& nodes() const { return nodes_; }
   size_t size() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
+
+  /// Position of the node whose ID is the ancestor-or-self of `id` at
+  /// `depth` (a Dewey prefix of `id`), or size() when the relation holds no
+  /// such node. Searches [*cursor, size()) by galloping and leaves
+  /// *cursor at the first position not before that prefix, so a batch of
+  /// lookups in document order shares one forward pass. `doc` is the
+  /// document the handles point into.
+  size_t Find(const Document& doc, const DeweyId& id, size_t depth,
+              size_t* cursor) const;
+
+  /// Positions [first, second) of the proper descendants of `id`, at or
+  /// after `from`: a subtree is one contiguous range in document order.
+  /// Gallops from `from`, so subtrees looked up in document order share
+  /// one forward pass.
+  std::pair<size_t, size_t> DescendantRange(const Document& doc,
+                                            const DeweyId& id,
+                                            size_t from) const;
 
  private:
   friend class StoreIndex;

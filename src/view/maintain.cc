@@ -266,26 +266,48 @@ LeafSource MaintainedView::DeltaLeafSource(const DeltaTables& delta) const {
 
 Relation MaintainedView::EvaluateTerm(const TermEntry& term,
                                       const DeltaTables& delta,
-                                      const DeletedRegion* region) {
+                                      const DeletedRegion* region,
+                                      const std::vector<LabelId>& labels,
+                                      MaintenanceStats* stats) {
+  Relation out = RunTerm(term, delta, region, labels, /*bounded=*/true, stats);
+  if (term_check_) {
+    term_check_(term, delta, out,
+                RunTerm(term, delta, region, labels, /*bounded=*/false,
+                        nullptr));
+  }
+  return out;
+}
+
+Relation MaintainedView::RunTerm(const TermEntry& term,
+                                 const DeltaTables& delta,
+                                 const DeletedRegion* region,
+                                 const std::vector<LabelId>& labels,
+                                 bool bounded, MaintenanceStats* stats) {
+  BoundedLeaves leaves(term.bounds, def_.pattern(), *store_, labels, delta,
+                       bounded);
   PhysExecContext ctx;
-  ctx.store_leaf = StoreLeafSource(store_, &def_.pattern());
+  ctx.store_leaf = [&leaves](int node) { return leaves.Store(node); };
   ctx.delta_leaf = DeltaLeafSource(delta);
-  // t_R as a materialized snowcap: the executor reads it in place (a
-  // "small" term must not become linear in the auxiliary structure's size:
-  // the snowcap is kept in its binding order, so a sort by its first column
-  // is elided statically, and the stack-based structural join only scans
-  // outer rows up to the last Δ ID).
+  // t_R as a materialized snowcap: the executor reads the reachable rows,
+  // or the whole snowcap in place (it is kept in its binding order, so a
+  // sort by its first column is elided statically, and the stack-based
+  // structural join only scans outer rows up to the last Δ ID).
   if (term.snowcap >= 0) {
-    const Relation* rows =
-        &lattice_.snowcaps()[static_cast<size_t>(term.snowcap)].data;
+    const size_t sc = static_cast<size_t>(term.snowcap);
+    const Relation* rows = leaves.Snowcap(lattice_.snowcaps()[sc].data,
+                                          plans_.snowcaps()[sc].upkeep);
     ctx.snowcap_leaf = [rows](const PhysNode&) { return rows; };
   }
   if (term.with_region) {
     ctx.deleted = [region](const DeweyId& id) { return region->Covers(id); };
   }
-  ctx.stats = &exec_stats_;
+  if (stats != nullptr) ctx.stats = &exec_stats_;
   StatusOr<Relation> out = ExecutePhysicalPlan(term.physical, ctx);
   XVM_CHECK(out.ok());
+  if (stats != nullptr) {
+    stats->leaf_rows_read += leaves.rows_read();
+    stats->leaves_unbounded += leaves.unbounded();
+  }
   return std::move(*out);
 }
 
@@ -331,8 +353,8 @@ void MaintainedView::PropagateInsert(const DeltaTables& delta_plus,
   {
     ScopedPhase phase(timer, phase::kExecuteUpdate);
     for (size_t i : surviving) {
-      Relation rel =
-          EvaluateTerm(terms.Term(i, with_region), delta_plus, region);
+      Relation rel = EvaluateTerm(terms.Term(i, with_region), delta_plus,
+                                  region, labels, stats);
       ++stats->terms_evaluated;
       Relation proj = Project(rel, plans_.stored_cols());
       // Derivation counting over the executor's term output — view-content
@@ -375,7 +397,7 @@ void MaintainedView::PropagateDelete(const DeltaTables& delta_minus,
     ScopedPhase phase(timer, phase::kExecuteUpdate);
     for (size_t i : surviving) {
       Relation rel = EvaluateTerm(terms.Term(i, /*with_region=*/true),
-                                  delta_minus, &region);
+                                  delta_minus, &region, labels, stats);
       ++stats->terms_evaluated;
       Relation proj = Project(rel, plans_.removal_cols());
       // Same as the insert side: multiset bookkeeping, not execution. The
@@ -413,7 +435,9 @@ void MaintainedView::MaintainSnowcapsInsert(const DeltaTables& delta,
     const TermSpace& terms = plans_.snowcaps()[idx];
     std::vector<Tuple> added;
     for (size_t i : SurvivingTerms(terms, delta)) {
-      Relation rel = EvaluateTerm(terms.Term(i, with_region), delta, region);
+      Relation rel =
+          EvaluateTerm(terms.Term(i, with_region), delta, region, labels,
+                       stats);
       for (auto& row : rel.rows) added.push_back(std::move(row));
     }
     if (!added.empty()) MergeInBindingOrder(std::move(added), &sc);

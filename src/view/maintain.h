@@ -1,6 +1,7 @@
 #ifndef XVM_VIEW_MAINTAIN_H_
 #define XVM_VIEW_MAINTAIN_H_
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -133,14 +134,35 @@ class MaintainedView {
     return out;
   }
 
+  /// Receives a term maintenance evaluated and the Δ it ran over, its
+  /// output, and its output with every leaf read whole.
+  using TermCheck = std::function<void(
+      const TermEntry& term, const DeltaTables& delta,
+      const Relation& bounded, const Relation& whole)>;
+  /// Test-only: when set, every term maintenance evaluates runs a second
+  /// time with its Δ bounds dropped, and `check` compares the two.
+  void SetTermCheckForTesting(TermCheck check) {
+    term_check_ = std::move(check);
+  }
+
  private:
   /// Indices of the Δ-sets of `space` whose terms survive pruning.
   std::vector<size_t> SurvivingTerms(const TermSpace& space,
                                      const DeltaTables& delta) const;
-  /// Runs one table entry: Δ leaves read `delta`, store leaves the (old)
-  /// canonical relations, a snowcap R-part its materialized rows in place.
+  /// Runs one table entry: Δ leaves read `delta`; store leaves the rows of
+  /// the (old) canonical relations and a snowcap R-part the rows of its
+  /// materialized relation that `delta` can reach (view/term_bounds.h).
+  /// `labels` is PatternLabels(); the leaf counters go to `stats`.
   Relation EvaluateTerm(const TermEntry& term, const DeltaTables& delta,
-                        const DeletedRegion* region);
+                        const DeletedRegion* region,
+                        const std::vector<LabelId>& labels,
+                        MaintenanceStats* stats);
+  /// EvaluateTerm's body; with `bounded` false every leaf is read whole and
+  /// nothing is counted.
+  Relation RunTerm(const TermEntry& term, const DeltaTables& delta,
+                   const DeletedRegion* region,
+                   const std::vector<LabelId>& labels, bool bounded,
+                   MaintenanceStats* stats);
   LeafSource DeltaLeafSource(const DeltaTables& delta) const;
   /// Upkeep (snowcap terms and payloads, PIMT, PDMT) visits only the rows
   /// the Δ can reach (view/upkeep.h); `labels` is PatternLabels().
@@ -169,6 +191,7 @@ class MaintainedView {
   MaterializedView view_;
   MaintainOptions options_;
   ExecStats exec_stats_;  // accumulated by EvaluateTerm, drained by manager
+  TermCheck term_check_;  // tests only
 };
 
 }  // namespace xvm

@@ -499,6 +499,10 @@ void ViewManager::RecordMetrics(const MultiUpdateOutcome& out) {
                          static_cast<int64_t>(s.tuples_modified));
     metrics_->AddCounter(name, "upkeep_rows_visited",
                          static_cast<int64_t>(s.upkeep_rows_visited));
+    metrics_->AddCounter(name, "leaf_rows_read",
+                         static_cast<int64_t>(s.leaf_rows_read));
+    metrics_->AddCounter(name, "leaves_unbounded",
+                         static_cast<int64_t>(s.leaves_unbounded));
     if (s.recompute_fallback) {
       metrics_->AddCounter(name, "recompute_fallbacks", 1);
     }

@@ -21,6 +21,12 @@ struct MaintenanceStats {
   /// compared: their binary-search probes plus the rows of the groups
   /// those found (view/upkeep.h).
   size_t upkeep_rows_visited = 0;
+  /// Rows the store and snowcap leaves of evaluated terms delivered
+  /// (view/term_bounds.h).
+  size_t leaf_rows_read = 0;
+  /// Of those leaves, the ones read whole: no bound, or past the probe
+  /// budget.
+  size_t leaves_unbounded = 0;
   bool recompute_fallback = false;  // predicate-guard / baseline recompute
 };
 

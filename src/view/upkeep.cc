@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <compare>
 
+#include "common/gallop.h"
 #include "common/status.h"
+#include "update/delta.h"
 #include "view/view_store.h"
 
 namespace xvm {
@@ -77,11 +79,6 @@ struct Probe {
   size_t len = 0;
   bool subtree = false;
 };
-
-/// A search pays a sort and two gallops per probe on top of filtering the
-/// rows it finds; past one probe per this many rows, one pass over every
-/// row is cheaper.
-constexpr size_t kRowsPerProbe = 8;
 
 /// The probes of one Δ, their keys in one buffer. Gives up (full()) once
 /// there are more probes, or enumeration steps, than the structure's size
@@ -182,26 +179,6 @@ bool AtOrBeforeEnd(const UpkeepOrder& order, const Tuple& row,
   return x < root || root.IsAncestorOrSelf(x);
 }
 
-/// First position in [from, n) where `pred` fails, for a `pred` that holds
-/// on a prefix of it: steps of 1, 2, 4, ... from `from`, then a binary
-/// search in the last step. O(log(result - from)) calls.
-template <typename Pred>
-size_t Gallop(size_t from, size_t n, const Pred& pred) {
-  if (from >= n || !pred(from)) return from;
-  size_t good = from;  // pred(good) holds
-  size_t step = 1;
-  while (good + step < n && pred(good + step)) {
-    good += step;
-    step *= 2;
-  }
-  size_t bad = std::min(good + step, n);
-  while (bad - good > 1) {
-    const size_t mid = good + (bad - good) / 2;
-    (pred(mid) ? good : bad) = mid;
-  }
-  return bad;
-}
-
 /// Runs the probes in lower-bound order with one forward-only cursor and
 /// merges their groups into sorted, disjoint ranges.
 Reach Sweep(const UpkeepOrder& order, ProbeSet* set, const SortedRows& rows) {
@@ -209,6 +186,7 @@ Reach Sweep(const UpkeepOrder& order, ProbeSet* set, const SortedRows& rows) {
   const size_t n = rows.size();
   if (set->full()) {
     out.ranges.push_back(RowRange{0, n});
+    out.whole = true;
     return out;
   }
   std::vector<Probe>& probes = set->probes();
@@ -297,6 +275,27 @@ Reach ReachCoveredRows(const UpkeepOrder& order,
     // A row whose spine is uncovered but some later key is covered: that
     // key's spine ancestors are proper prefixes of r.
     for (size_t chain : chains) set.AddPrefixes(r, chain, above, nullptr);
+  }
+  return Sweep(order, &set, rows);
+}
+
+Reach ReachDeltaAncestors(const UpkeepOrder& order,
+                          const std::vector<LabelId>& labels,
+                          const std::vector<DeltaRow>& delta_rows,
+                          size_t chain, const SortedRows& rows) {
+  if (delta_rows.empty() || rows.size() == 0) return Reach{};
+  ProbeSet set(order, labels, rows.size());
+  const DeweyId* prev = nullptr;
+  for (const DeltaRow& row : delta_rows) {
+    if (set.full()) break;
+    const DeweyId& a = row.id;
+    // Siblings have the same proper ancestors, so the same probes.
+    if (prev != nullptr && DeweyId::ComparePrefixes(*prev, prev->depth() - 1,
+                                                    a, a.depth() - 1) == 0) {
+      continue;
+    }
+    prev = &a;
+    set.AddPrefixes(a, chain, a.depth() - 1, nullptr);
   }
   return Sweep(order, &set, rows);
 }

@@ -12,6 +12,13 @@
 namespace xvm {
 
 class ViewContent;  // view/view_store.h
+struct DeltaRow;    // update/delta.h
+
+/// A search pays a sort and two gallops per probe on top of filtering the
+/// rows it finds; past one probe per this many rows, one pass over every
+/// row is cheaper. Upkeep and the Δ-bounded term leaves
+/// (view/term_bounds.h) share it.
+inline constexpr size_t kRowsPerProbe = 8;
 
 /// How tuple-modification and snowcap upkeep find the rows of one view or
 /// snowcap that a Δ can reach, fixed when the view is created.
@@ -91,6 +98,7 @@ struct RowRange {
 struct Reach {
   std::vector<RowRange> ranges;
   size_t rows_compared = 0;  // rows the binary searches compared
+  bool whole = false;        // the search gave up: one range, every row
 };
 
 /// Rows in which some payload node may be an ancestor-or-self of one of
@@ -108,6 +116,15 @@ Reach ReachCoveredRows(const UpkeepOrder& order,
                        const std::vector<LabelId>& labels,
                        const std::vector<DeweyId>& roots,
                        const SortedRows& rows);
+
+/// Rows whose first `chain` ID columns (a pattern ancestor chain of the
+/// Δ-set root whose Δ rows are `delta_rows`, sorted in document order) may
+/// be proper ancestors of one of those rows: the snowcap rows a union term
+/// can join to that root (view/term_bounds.h).
+Reach ReachDeltaAncestors(const UpkeepOrder& order,
+                          const std::vector<LabelId>& labels,
+                          const std::vector<DeltaRow>& delta_rows,
+                          size_t chain, const SortedRows& rows);
 
 }  // namespace xvm
 

@@ -58,6 +58,7 @@ Status AddTerms(const ViewDefinition& def, const ViewLattice& lattice,
             SchemaMismatch("union-term", phys->output_schema(), canon));
       }
       entry.physical = std::move(*phys);
+      entry.bounds = MakeTermBounds(pat, within, ds, snowcap >= 0);
       space->entries.push_back(std::move(entry));
     }
   }

@@ -10,6 +10,7 @@
 #include "algebra/exec/physical.h"
 #include "common/status.h"
 #include "view/lattice.h"
+#include "view/term_bounds.h"
 #include "view/terms.h"
 #include "view/upkeep.h"
 #include "view/view_def.h"
@@ -26,6 +27,9 @@ struct TermEntry {
   int snowcap = -1;
   PlanNodePtr logical;    // BuildTermPlan output, kept for the prover
   PhysicalPlan physical;  // what the executor runs
+  /// Which rows of each store or snowcap leaf a statement's Δ can reach;
+  /// applied below the executor, so `physical` reads them unchanged.
+  TermBounds bounds;
 };
 
 /// The union terms of the view, or of one materialized snowcap, and the

@@ -606,6 +606,53 @@ TEST(ExecMetricsTest, ManagerReportsExecCountersUnderExecPseudoView) {
   EXPECT_GE(counter("sorts_elided_static"), 1);
   EXPECT_GE(counter("scan.invocations"), 1);
   EXPECT_TRUE(it->second.phases().count("execute_plan"));
+
+  // Each kernel that ran reports its time next to its rows, and the kernel
+  // times add up to no more than the plans' own.
+  const auto& phases = it->second.phases();
+  double kernel_ms = 0.0;
+  for (size_t k = 0; k < kNumPhysKernels; ++k) {
+    const std::string name = PhysKernelName(static_cast<PhysKernel>(k));
+    if (counter(name + ".invocations") == 0) continue;
+    auto p = phases.find(name + ".ms");
+    ASSERT_NE(p, phases.end()) << name << ".ms missing";
+    EXPECT_EQ(p->second.count(), 1u) << name;
+    EXPECT_GE(p->second.total_ms(), 0.0) << name;
+    kernel_ms += p->second.total_ms();
+  }
+  EXPECT_TRUE(phases.count("scan.ms"));
+  EXPECT_LE(kernel_ms, phases.at("execute_plan").total_ms());
+}
+
+TEST(ExecMetricsTest, KernelTimesSumToAtMostExecMs) {
+  Rng rng(3);
+  Document doc;
+  RandomDocument(&rng, 120, &doc);
+  StoreIndex store(&doc);
+  store.Build();
+  for (const char* dsl : {"//a{id}(//b{id,val}(/c{id}))", "//b{id}(//a{id})"}) {
+    auto pat = TreePattern::Parse(dsl);
+    ASSERT_TRUE(pat.ok());
+    PhysExecContext ctx;
+    ctx.store_leaf = StoreLeafSource(&store, &*pat);
+    ExecStats stats;
+    ctx.stats = &stats;
+    auto plan = LowerPlan(*BuildViewPlan(*pat));
+    ASSERT_TRUE(plan.ok());
+    for (int rep = 0; rep < 5; ++rep) {
+      ASSERT_TRUE(ExecutePhysicalPlanWithCounts(*plan, ctx).ok());
+    }
+    double kernel_ms = 0.0;
+    for (const ExecKernelStats& ks : stats.kernels) {
+      EXPECT_GE(ks.ms, 0.0);
+      if (ks.invocations == 0) {
+        EXPECT_EQ(ks.ms, 0.0);
+      }
+      kernel_ms += ks.ms;
+    }
+    EXPECT_GT(kernel_ms, 0.0) << dsl;
+    EXPECT_LE(kernel_ms, stats.exec_ms) << dsl;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@
 // physical plans (algebra/exec/physical.h): the base evaluation plan and
 // every Δ-rewrite union term without σ_alive, with the chosen kernel per
 // operator and a note explaining each statically elided sort, each
-// adaptive check-then-sort and each fused scan. Goldens over this output
-// pin kernel selection byte-exactly.
+// adaptive check-then-sort and each fused scan, and under each term one
+// line per leaf its Δ bounds (view/term_bounds.h). Goldens over this
+// output pin kernel selection and bound shapes byte-exactly.
 //
 // Corpus format, one directive per line (# starts a comment):
 //   view NAME xpath id|idval|idcont XPATH-EXPRESSION
@@ -169,6 +170,8 @@ bool PhysicalView(const std::string& name, const std::string& kind,
     dump("term delta=" + NodeSetToString(def->pattern(), term.delta_set) +
              (term.snowcap >= 0 ? " [snowcap R-part]" : ""),
          term.physical);
+    const std::string bounds = term.bounds.Describe(def->pattern());
+    if (!bounds.empty()) std::cout << Indent(bounds) << "\n";
   }
   return true;
 }
