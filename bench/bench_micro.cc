@@ -1,9 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrates: dynamic order keys, structural ID operations, the stack-based
-// structural join, tree-pattern evaluation and delta extraction. These are
-// not paper figures; they guard the constants behind them.
+// structural join, tree-pattern evaluation, delta extraction and target
+// location. These are not paper figures; they guard the constants behind
+// them.
 
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "algebra/operators.h"
 #include "common/rng.h"
@@ -11,6 +17,7 @@
 #include "update/delta.h"
 #include "xmark/generator.h"
 #include "xmark/views.h"
+#include "xpath/xpath_eval.h"
 
 namespace xvm {
 namespace {
@@ -115,6 +122,57 @@ void BM_DeltaPlusExtraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaPlusExtraction);
+
+/// An XMark document of `kb` KB, generated once per size and kept.
+const Document& SharedXMark(size_t kb) {
+  static std::map<size_t, std::unique_ptr<Document>> docs;
+  std::unique_ptr<Document>& doc = docs[kb];
+  if (doc == nullptr) {
+    doc = std::make_unique<Document>();
+    GenerateXMark(XMarkConfig{kb * 1024, 7}, doc.get());
+  }
+  return *doc;
+}
+
+/// Target location for the six path shapes of perfbench's point_mix
+/// statements (arg 1): a person or open auction by @id, two child paths of
+/// a person, an auction's bidder increases, and a region. Arg 0 is the
+/// document size in KB; the time per lookup should not grow with it.
+void BM_LocateTargets(benchmark::State& state) {
+  const Document& doc = SharedXMark(static_cast<size_t>(state.range(0)));
+  std::vector<std::string> ids;
+  const char* parent = state.range(1) <= 2 ? "/site/people/person"
+                                           : "/site/open_auctions/open_auction";
+  const LabelId id_label = doc.dict().Lookup("@id");
+  const std::vector<NodeHandle> owners = *EvalXPathString(doc, parent);
+  for (NodeHandle h : owners) {
+    for (NodeHandle c : doc.Children(h)) {
+      if (doc.node(c).label == id_label) ids.push_back(doc.node(c).text);
+    }
+  }
+  const std::string tails[] = {"", "/homepage", "/name", "",
+                               "/bidder/increase"};
+  const char* regions[] = {"africa", "asia",     "australia",
+                           "europe", "namerica", "samerica"};
+  std::vector<std::string> paths;
+  for (size_t i = 0; i < 64; ++i) {
+    if (state.range(1) == 5) {
+      paths.push_back(std::string("/site/regions/") + regions[i % 6]);
+    } else {
+      paths.push_back(std::string(parent) + "[@id=\"" +
+                      ids[(i * 7919) % ids.size()] + "\"]" +
+                      tails[state.range(1)]);
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    auto targets = EvalXPathString(doc, paths[i++ % paths.size()]);
+    benchmark::DoNotOptimize(targets);
+  }
+}
+BENCHMARK(BM_LocateTargets)
+    ->ArgsProduct({{2560, 10240}, {0, 1, 2, 3, 4, 5}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_XMarkGeneration(benchmark::State& state) {
   for (auto _ : state) {

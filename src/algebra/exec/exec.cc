@@ -51,8 +51,8 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// A node result that is either owned or borrowed in place (snowcap scans
-/// and the pass-through kernels above them never copy the relation).
+/// A node result that is either owned or borrowed in place (snowcap and Δ
+/// scans and the pass-through kernels above them never copy the relation).
 struct RelRef {
   Relation owned;
   const Relation* borrowed = nullptr;
@@ -94,7 +94,8 @@ class PhysExecutor {
     RelRef out;
     switch (n.kernel) {
       case PhysKernel::kScan: {
-        XVM_ASSIGN_OR_RETURN(Relation rel, ResolveScan(n));
+        XVM_ASSIGN_OR_RETURN(RelRef leaf, ResolveScan(n));
+        const Relation& rel = leaf.get();
         rows_in = static_cast<int64_t>(rel.size());
         // Arity is always enforced (a mismatched resolver would make the
         // fused predicates index out of range); the full contract audit is
@@ -102,20 +103,16 @@ class PhysExecutor {
         XVM_CHECK(rel.schema.size() == n.leaf_schema.size());
         if (audit_) AuditLeafContract(n, rel);
         if (n.predicates.empty() && n.cols.empty()) {
-          out.owned = std::move(rel);
+          out = std::move(leaf);
           break;
         }
         if (!n.predicates.empty()) ++stats_.scans_fused;
         out.owned.schema = n.schema;
-        for (Tuple& row : rel.rows) {
-          if (!EvalPredicates(n.predicates, row, ctx_)) continue;
-          if (n.cols.empty()) {
-            out.owned.rows.push_back(std::move(row));
-          } else {
-            Tuple t;
-            t.reserve(n.cols.size());
-            for (int c : n.cols) t.push_back(row[static_cast<size_t>(c)]);
-            out.owned.rows.push_back(std::move(t));
+        if (leaf.borrowed != nullptr) {
+          for (const Tuple& row : rel.rows) ScanRow(n, row, &out.owned);
+        } else {
+          for (Tuple& row : leaf.owned.rows) {
+            ScanRow(n, std::move(row), &out.owned);
           }
         }
         break;
@@ -231,18 +228,40 @@ class PhysExecutor {
     return Status::Ok();
   }
 
-  StatusOr<Relation> ResolveScan(const PhysNode& n) {
+  /// Appends `row` to `out` if it passes the scan's fused predicates,
+  /// projected onto its columns when it has any.
+  template <typename Row>
+  void ScanRow(const PhysNode& n, Row&& row, Relation* out) const {
+    if (!EvalPredicates(n.predicates, row, ctx_)) return;
+    if (n.cols.empty()) {
+      out->rows.push_back(std::forward<Row>(row));
+      return;
+    }
+    Tuple t;
+    t.reserve(n.cols.size());
+    for (int c : n.cols) t.push_back(row[static_cast<size_t>(c)]);
+    out->rows.push_back(std::move(t));
+  }
+
+  StatusOr<RelRef> ResolveScan(const PhysNode& n) {
+    RelRef leaf;
     if (n.leaf_kind == PlanLeafKind::kStoreScan && ctx_.store_leaf &&
         n.leaf_node >= 0) {
-      return ctx_.store_leaf(n.leaf_node);
+      leaf.owned = ctx_.store_leaf(n.leaf_node);
+    } else if (n.leaf_kind == PlanLeafKind::kDeltaScan && ctx_.delta_leaf &&
+               n.leaf_node >= 0) {
+      leaf.borrowed = ctx_.delta_leaf(n.leaf_node);
+      if (leaf.borrowed == nullptr) {
+        return Status::Internal("executor: no Δ table for leaf '" +
+                                n.leaf_name + "'");
+      }
+    } else if (ctx_.resolve_leaf) {
+      XVM_ASSIGN_OR_RETURN(leaf.owned, ctx_.resolve_leaf(n));
+    } else {
+      return Status::Internal("executor: no resolver for leaf '" +
+                              n.leaf_name + "'");
     }
-    if (n.leaf_kind == PlanLeafKind::kDeltaScan && ctx_.delta_leaf &&
-        n.leaf_node >= 0) {
-      return ctx_.delta_leaf(n.leaf_node);
-    }
-    if (ctx_.resolve_leaf) return ctx_.resolve_leaf(n);
-    return Status::Internal("executor: no resolver for leaf '" + n.leaf_name +
-                            "'");
+    return leaf;
   }
 
   void AuditLeafContract(const PhysNode& n, const Relation& rel) const {

@@ -75,8 +75,10 @@ struct PhysExecContext {
   /// (kStoreScan leaves; pattern/compile.h's LeafSource matches this
   /// signature exactly).
   std::function<Relation(int node_idx)> store_leaf;
-  /// Resolves the Δ table of pattern node `node_idx` (kDeltaScan leaves).
-  std::function<Relation(int node_idx)> delta_leaf;
+  /// Borrows the Δ table of pattern node `node_idx` (kDeltaScan leaves),
+  /// read in place like a snowcap: it must stay alive and unmodified for the
+  /// duration of the ExecutePhysicalPlan call.
+  std::function<const Relation*(int node_idx)> delta_leaf;
   /// Borrows the materialized snowcap relation of a kSnowcapScan leaf, or
   /// the sorted subset of its rows the caller's Δ bound reaches. The
   /// relation is read in place — never copied — and must stay alive and

@@ -101,13 +101,11 @@ PhysicalPlan LowerOrDie(const PlanNode& plan) {
   return std::move(*phys);
 }
 
-/// Every leaf resolved through `leaf_source` (pattern plans contain only
-/// pattern-derived leaves, so store vs delta naming is diagnostic-only; the
-/// caller's source decides what the leaves actually read).
+/// Every leaf resolved through `leaf_source` (pattern plans are built with
+/// store leaves only; the caller's source decides what they actually read).
 PhysExecContext LeafContext(const LeafSource& leaf_source) {
   PhysExecContext ctx;
   ctx.store_leaf = leaf_source;
-  ctx.delta_leaf = leaf_source;
   return ctx;
 }
 

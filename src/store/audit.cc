@@ -1,6 +1,10 @@
 #include "store/audit.h"
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace xvm {
 
@@ -15,6 +19,42 @@ std::string NodeDesc(const Document& doc, NodeHandle h) {
   const Node& n = doc.node(h);
   return "node#" + std::to_string(h) + " ('" + LabelName(doc.dict(), n.label) +
          "' id " + n.id.ToString() + ")";
+}
+
+/// "document.attr_index": rebuilds the attribute-value index from the live
+/// attributes and compares it with the document's, key by key.
+void AuditAttributeIndex(const Document& doc, InvariantReport* report) {
+  std::map<std::pair<LabelId, std::string>, std::vector<NodeHandle>> rebuilt;
+  size_t attributes = 0;
+  for (NodeHandle h : doc.AllNodes()) {
+    const Node& n = doc.node(h);
+    if (n.kind != NodeKind::kAttribute) continue;
+    rebuilt[{n.label, n.text}].push_back(h);
+    ++attributes;
+  }
+  std::vector<NodeHandle> live;
+  for (auto& [key, expected] : rebuilt) {
+    live.clear();
+    doc.FindAttributes(key.first, key.second, &live);
+    std::sort(live.begin(), live.end());
+    std::sort(expected.begin(), expected.end());
+    if (live != expected) {
+      report->Add("document.attr_index",
+                  "the index finds " + std::to_string(live.size()) +
+                      " nodes for " + LabelName(doc.dict(), key.first) +
+                      "=\"" + key.second + "\" but " +
+                      std::to_string(expected.size()) +
+                      " live attributes carry it, e.g. " +
+                      NodeDesc(doc, expected.front()));
+    }
+  }
+  if (doc.attribute_index_size() != attributes) {
+    report->Add("document.attr_index",
+                "the attribute index holds " +
+                    std::to_string(doc.attribute_index_size()) +
+                    " entries for " + std::to_string(attributes) +
+                    " live attributes");
+  }
 }
 
 }  // namespace
@@ -99,6 +139,7 @@ void AuditDocument(const Document& doc, InvariantReport* report) {
                       std::to_string(doc.FindById(n.id)) + ")");
     }
   }
+  AuditAttributeIndex(doc, report);
 }
 
 void AuditStoreIndex(const Document& doc, const StoreIndex& store,

@@ -24,8 +24,10 @@ void AuditLabelDict(const LabelDict& dict, InvariantReport* report);
 /// the self-describing property of §2.1 ("dewey.parent_prefix") — roots must
 /// have depth-1 IDs ("dewey.root_depth"), document order must be strictly
 /// increasing over AllNodes() ("document.preorder"), parent/child links must
-/// be reciprocal ("document.links"), and the ID index must resolve every
-/// alive node's ID back to it ("document.id_index").
+/// be reciprocal ("document.links"), the ID index must resolve every
+/// alive node's ID back to it ("document.id_index"), and the attribute-value
+/// index must equal one rebuilt from the live attributes
+/// ("document.attr_index").
 void AuditDocument(const Document& doc, InvariantReport* report);
 
 /// Canonical relation consistency against the document: every entry alive

@@ -242,52 +242,67 @@ DeltaNeeds MaintainedView::DeltaPlusNeeds() const {
   return needs;
 }
 
-LeafSource MaintainedView::DeltaLeafSource(const DeltaTables& delta) const {
-  const TreePattern* pat = &def_.pattern();
-  const LabelDict* dict = &store_->doc().dict();
-  const DeltaTables* d = &delta;
-  return [pat, dict, d](int node_idx) -> Relation {
-    const PatternNode& n = pat->node(node_idx);
-    const bool want_val = n.store_val || n.val_pred.has_value();
-    Relation rel;
-    rel.schema = LeafSchema(n);
-    LabelId label = dict->Lookup(n.label);
-    if (label == kInvalidLabel) return rel;
-    for (const DeltaRow& row : d->ForLabel(label)) {
-      Tuple t;
-      t.emplace_back(row.id);
-      if (want_val) t.emplace_back(row.val);
-      if (n.store_cont) t.emplace_back(row.cont);
-      rel.rows.push_back(std::move(t));
-    }
-    return rel;
-  };
+DeltaLeaves::DeltaLeaves(const TreePattern& pattern,
+                         const std::vector<LabelId>& labels,
+                         const DeltaTables& delta)
+    : pattern_(pattern), labels_(labels), delta_(delta),
+      built_(pattern.size()), readers_(pattern.size(), 0) {}
+
+void DeltaLeaves::Expect(const NodeSet& delta_set) {
+  for (size_t i = 0; i < delta_set.size(); ++i) {
+    if (delta_set[i]) ++readers_[i];
+  }
+}
+
+void DeltaLeaves::Done(const NodeSet& delta_set) {
+  for (size_t i = 0; i < delta_set.size(); ++i) {
+    if (delta_set[i] && --readers_[i] == 0) built_[i].reset();
+  }
+}
+
+const Relation* DeltaLeaves::Leaf(int node) {
+  std::unique_ptr<Relation>& rel = built_[static_cast<size_t>(node)];
+  if (rel != nullptr) return rel.get();
+  const PatternNode& n = pattern_.node(node);
+  const bool want_val = n.store_val || n.val_pred.has_value();
+  rel = std::make_unique<Relation>();
+  rel->schema = LeafSchema(n);
+  const LabelId label = labels_[static_cast<size_t>(node)];
+  if (label == kInvalidLabel) return rel.get();
+  for (const DeltaRow& row : delta_.ForLabel(label)) {
+    Tuple t;
+    t.emplace_back(row.id);
+    if (want_val) t.emplace_back(row.val);
+    if (n.store_cont) t.emplace_back(row.cont);
+    rel->rows.push_back(std::move(t));
+  }
+  return rel.get();
 }
 
 Relation MaintainedView::EvaluateTerm(const TermEntry& term,
-                                      const DeltaTables& delta,
+                                      DeltaLeaves* delta,
                                       const DeletedRegion* region,
                                       const std::vector<LabelId>& labels,
                                       MaintenanceStats* stats) {
   Relation out = RunTerm(term, delta, region, labels, /*bounded=*/true, stats);
   if (term_check_) {
-    term_check_(term, delta, out,
+    term_check_(term, delta->tables(), out,
                 RunTerm(term, delta, region, labels, /*bounded=*/false,
                         nullptr));
   }
+  delta->Done(term.delta_set);
   return out;
 }
 
-Relation MaintainedView::RunTerm(const TermEntry& term,
-                                 const DeltaTables& delta,
+Relation MaintainedView::RunTerm(const TermEntry& term, DeltaLeaves* delta,
                                  const DeletedRegion* region,
                                  const std::vector<LabelId>& labels,
                                  bool bounded, MaintenanceStats* stats) {
-  BoundedLeaves leaves(term.bounds, def_.pattern(), *store_, labels, delta,
-                       bounded);
+  BoundedLeaves leaves(term.bounds, def_.pattern(), *store_, labels,
+                       delta->tables(), bounded);
   PhysExecContext ctx;
   ctx.store_leaf = [&leaves](int node) { return leaves.Store(node); };
-  ctx.delta_leaf = DeltaLeafSource(delta);
+  ctx.delta_leaf = [delta](int node) { return delta->Leaf(node); };
   // t_R as a materialized snowcap: the executor reads the reachable rows,
   // or the whole snowcap in place (it is kept in its binding order, so a
   // sort by its first column is elided statically, and the stack-based
@@ -342,18 +357,29 @@ void MaintainedView::PropagateInsert(const DeltaTables& delta_plus,
   const TermSpace& terms = plans_.view();
   const bool with_region = region != nullptr && !region->empty();
   const std::vector<LabelId> labels = PatternLabels();
+  DeltaLeaves delta_leaves(def_.pattern(), labels, delta_plus);
 
   std::vector<size_t> surviving;
+  std::vector<std::vector<size_t>> snowcap_surviving;
   {
     ScopedPhase phase(timer, phase::kGetExpression);
     surviving = SurvivingTerms(terms, delta_plus);
     stats->terms_considered += terms.size();
     stats->terms_pruned_data += terms.size() - surviving.size();
+    for (size_t i : surviving) {
+      delta_leaves.Expect(terms.Term(i, with_region).delta_set);
+    }
+    for (const TermSpace& sc_terms : plans_.snowcaps()) {
+      snowcap_surviving.push_back(SurvivingTerms(sc_terms, delta_plus));
+      for (size_t i : snowcap_surviving.back()) {
+        delta_leaves.Expect(sc_terms.Term(i, with_region).delta_set);
+      }
+    }
   }
   {
     ScopedPhase phase(timer, phase::kExecuteUpdate);
     for (size_t i : surviving) {
-      Relation rel = EvaluateTerm(terms.Term(i, with_region), delta_plus,
+      Relation rel = EvaluateTerm(terms.Term(i, with_region), &delta_leaves,
                                   region, labels, stats);
       ++stats->terms_evaluated;
       Relation proj = Project(rel, plans_.stored_cols());
@@ -370,7 +396,8 @@ void MaintainedView::PropagateInsert(const DeltaTables& delta_plus,
   }
   {
     ScopedPhase phase(timer, phase::kUpdateLattice);
-    MaintainSnowcapsInsert(delta_plus, region, labels, stats);
+    MaintainSnowcapsInsert(&delta_leaves, snowcap_surviving, region, labels,
+                           stats);
   }
 }
 
@@ -385,6 +412,7 @@ void MaintainedView::PropagateDelete(const DeltaTables& delta_minus,
   const TermSpace& terms = plans_.view();
   DeletedRegion region(delta_minus.anchor_ids());
   const std::vector<LabelId> labels = PatternLabels();
+  DeltaLeaves delta_leaves(def_.pattern(), labels, delta_minus);
 
   std::vector<size_t> surviving;
   {
@@ -392,12 +420,15 @@ void MaintainedView::PropagateDelete(const DeltaTables& delta_minus,
     surviving = SurvivingTerms(terms, delta_minus);
     stats->terms_considered += terms.size();
     stats->terms_pruned_data += terms.size() - surviving.size();
+    for (size_t i : surviving) {
+      delta_leaves.Expect(terms.Term(i, /*with_region=*/true).delta_set);
+    }
   }
   {
     ScopedPhase phase(timer, phase::kExecuteUpdate);
     for (size_t i : surviving) {
       Relation rel = EvaluateTerm(terms.Term(i, /*with_region=*/true),
-                                  delta_minus, &region, labels, stats);
+                                  &delta_leaves, &region, labels, stats);
       ++stats->terms_evaluated;
       Relation proj = Project(rel, plans_.removal_cols());
       // Same as the insert side: multiset bookkeeping, not execution. The
@@ -417,11 +448,13 @@ void MaintainedView::PropagateDelete(const DeltaTables& delta_minus,
   }
 }
 
-void MaintainedView::MaintainSnowcapsInsert(const DeltaTables& delta,
-                                            const DeletedRegion* region,
-                                            const std::vector<LabelId>& labels,
-                                            MaintenanceStats* stats) {
+void MaintainedView::MaintainSnowcapsInsert(
+    DeltaLeaves* delta_leaves,
+    const std::vector<std::vector<size_t>>& surviving,
+    const DeletedRegion* region, const std::vector<LabelId>& labels,
+    MaintenanceStats* stats) {
   auto& snowcaps = lattice_.snowcaps();
+  const DeltaTables& delta = delta_leaves->tables();
   const std::vector<DeweyId>& anchors = delta.anchor_ids();
   auto affected = [&anchors](const DeweyId& id) {
     return AnyAnchorAtOrBelow(anchors, id);
@@ -434,10 +467,10 @@ void MaintainedView::MaintainSnowcapsInsert(const DeltaTables& delta,
     MaterializedSnowcap& sc = snowcaps[idx];
     const TermSpace& terms = plans_.snowcaps()[idx];
     std::vector<Tuple> added;
-    for (size_t i : SurvivingTerms(terms, delta)) {
+    for (size_t i : surviving[idx]) {
       Relation rel =
-          EvaluateTerm(terms.Term(i, with_region), delta, region, labels,
-                       stats);
+          EvaluateTerm(terms.Term(i, with_region), delta_leaves, region,
+                       labels, stats);
       for (auto& row : rel.rows) added.push_back(std::move(row));
     }
     if (!added.empty()) MergeInBindingOrder(std::move(added), &sc);

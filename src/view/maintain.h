@@ -41,6 +41,33 @@ class DeletedRegion {
   std::vector<DeweyId> roots_;
 };
 
+/// The Δ leaves of one propagation pass: for pattern node i, the Δ rows of
+/// its label as a leaf relation (ID, then val and/or cont as the node
+/// stores them). The pass declares every term it will evaluate up front
+/// (Expect); a leaf is built when the first term reads it, read in place by
+/// the later ones, and freed when the last term that reads it is Done.
+class DeltaLeaves {
+ public:
+  /// `labels` is the view's PatternLabels(); all three must outlive this.
+  DeltaLeaves(const TreePattern& pattern, const std::vector<LabelId>& labels,
+              const DeltaTables& delta);
+
+  const DeltaTables& tables() const { return delta_; }
+  /// One more term of the pass reads the leaves of `delta_set`.
+  void Expect(const NodeSet& delta_set);
+  const Relation* Leaf(int node);
+  /// A term that reads the leaves of `delta_set` is evaluated: frees those
+  /// no later term reads.
+  void Done(const NodeSet& delta_set);
+
+ private:
+  const TreePattern& pattern_;
+  const std::vector<LabelId>& labels_;
+  const DeltaTables& delta_;
+  std::vector<std::unique_ptr<Relation>> built_;  // per pattern node
+  std::vector<int> readers_;  // expected terms not yet Done, per node
+};
+
 /// Tuning knobs, mainly for ablation studies. Disabling a pruning
 /// proposition never affects correctness — only how many provably-empty
 /// terms get evaluated.
@@ -153,20 +180,21 @@ class MaintainedView {
   /// the (old) canonical relations and a snowcap R-part the rows of its
   /// materialized relation that `delta` can reach (view/term_bounds.h).
   /// `labels` is PatternLabels(); the leaf counters go to `stats`.
-  Relation EvaluateTerm(const TermEntry& term, const DeltaTables& delta,
+  Relation EvaluateTerm(const TermEntry& term, DeltaLeaves* delta,
                         const DeletedRegion* region,
                         const std::vector<LabelId>& labels,
                         MaintenanceStats* stats);
   /// EvaluateTerm's body; with `bounded` false every leaf is read whole and
   /// nothing is counted.
-  Relation RunTerm(const TermEntry& term, const DeltaTables& delta,
+  Relation RunTerm(const TermEntry& term, DeltaLeaves* delta,
                    const DeletedRegion* region,
                    const std::vector<LabelId>& labels, bool bounded,
                    MaintenanceStats* stats);
-  LeafSource DeltaLeafSource(const DeltaTables& delta) const;
   /// Upkeep (snowcap terms and payloads, PIMT, PDMT) visits only the rows
   /// the Δ can reach (view/upkeep.h); `labels` is PatternLabels().
-  void MaintainSnowcapsInsert(const DeltaTables& delta,
+  /// `surviving[idx]` is SurvivingTerms of snowcap idx, Expected in `delta`.
+  void MaintainSnowcapsInsert(DeltaLeaves* delta,
+                              const std::vector<std::vector<size_t>>& surviving,
                               const DeletedRegion* region,
                               const std::vector<LabelId>& labels,
                               MaintenanceStats* stats);

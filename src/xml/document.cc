@@ -1,6 +1,7 @@
 #include "xml/document.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/status.h"
 #include "common/strings.h"
@@ -43,12 +44,42 @@ void Document::LinkAsLastChild(NodeHandle parent, NodeHandle child) {
   if (p.first_child == kNullNode) p.first_child = child;
 }
 
+namespace {
+
+uint64_t AttrKey(LabelId label, std::string_view value) {
+  return std::hash<std::string_view>{}(value) * 0x9E3779B97F4A7C15ULL ^ label;
+}
+
+}  // namespace
+
 void Document::RegisterId(NodeHandle h) {
-  id_index_[nodes_[h].id.Encode()] = h;
+  const Node& n = nodes_[h];
+  id_index_[n.id.Encode()] = h;
+  if (n.kind == NodeKind::kAttribute) {
+    attr_index_.emplace(AttrKey(n.label, n.text), h);
+  }
 }
 
 void Document::UnregisterId(NodeHandle h) {
-  id_index_.erase(nodes_[h].id.Encode());
+  const Node& n = nodes_[h];
+  id_index_.erase(n.id.Encode());
+  if (n.kind != NodeKind::kAttribute) return;
+  auto [it, end] = attr_index_.equal_range(AttrKey(n.label, n.text));
+  for (; it != end; ++it) {
+    if (it->second == h) {
+      attr_index_.erase(it);
+      return;
+    }
+  }
+}
+
+void Document::FindAttributes(LabelId label, std::string_view value,
+                              std::vector<NodeHandle>* out) const {
+  auto [it, end] = attr_index_.equal_range(AttrKey(label, value));
+  for (; it != end; ++it) {
+    const Node& n = nodes_[it->second];
+    if (n.label == label && n.text == value) out->push_back(it->second);
+  }
 }
 
 NodeHandle Document::CreateRoot(std::string_view label) {
@@ -236,7 +267,7 @@ std::string Document::StringValue(NodeHandle h) const {
   const Node& n = nodes_[h];
   if (n.kind != NodeKind::kElement) return n.text;
   std::string out;
-  for (NodeHandle c : SubtreeNodes(h)) {
+  for (NodeHandle c = h; c != kNullNode; c = PreorderNext(c, h)) {
     const Node& cn = nodes_[c];
     if (cn.kind == NodeKind::kText) out += cn.text;
   }
@@ -249,18 +280,8 @@ std::string Document::Content(NodeHandle h) const {
 
 std::vector<NodeHandle> Document::SubtreeNodes(NodeHandle h) const {
   std::vector<NodeHandle> out;
-  std::vector<NodeHandle> stack = {h};
-  while (!stack.empty()) {
-    NodeHandle cur = stack.back();
-    stack.pop_back();
-    out.push_back(cur);
-    // Push children in reverse so document order pops first.
-    std::vector<NodeHandle> kids;
-    for (NodeHandle c = nodes_[cur].first_child; c != kNullNode;
-         c = nodes_[c].next_sibling) {
-      kids.push_back(c);
-    }
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
+  for (NodeHandle c = h; c != kNullNode; c = PreorderNext(c, h)) {
+    out.push_back(c);
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -41,7 +42,9 @@ struct Node {
 
 /// An in-memory XML document: an arena of nodes carrying Compact Dynamic
 /// Dewey IDs, with an ID -> node map so stored IDs (e.g. in materialized
-/// views) can be resolved back to nodes when recomputing `val`/`cont`.
+/// views) can be resolved back to nodes when recomputing `val`/`cont`, and
+/// an attribute-value index so XPath steps like `person[@id="p7"]` find
+/// their nodes without walking (xpath/xpath_eval.h).
 ///
 /// Update operations (AppendChild / InsertSiblingAfter / CopySubtree /
 /// DeleteSubtree) assign dynamic IDs and never relabel existing nodes.
@@ -112,6 +115,26 @@ class Document {
   /// Collects the subtree of `h` (including `h`) in document order.
   std::vector<NodeHandle> SubtreeNodes(NodeHandle h) const;
 
+  /// The node after `cur` in a preorder walk of the subtree of `top`, or
+  /// kNullNode past its end. Walks links only: no allocation, no recursion.
+  NodeHandle PreorderNext(NodeHandle cur, NodeHandle top) const {
+    if (nodes_[cur].first_child != kNullNode) return nodes_[cur].first_child;
+    for (; cur != top; cur = nodes_[cur].parent) {
+      if (nodes_[cur].next_sibling != kNullNode) {
+        return nodes_[cur].next_sibling;
+      }
+    }
+    return kNullNode;
+  }
+
+  /// Appends to `out` every alive attribute node labelled `label` whose
+  /// value is `value` (attribute-value index; unordered).
+  void FindAttributes(LabelId label, std::string_view value,
+                      std::vector<NodeHandle>* out) const;
+
+  /// Entries in the attribute-value index: one per alive attribute node.
+  size_t attribute_index_size() const { return attr_index_.size(); }
+
   /// Collects every alive node in document order.
   std::vector<NodeHandle> AllNodes() const;
 
@@ -140,12 +163,17 @@ class Document {
   NodeHandle NewNode(NodeKind kind, LabelId label, std::string_view text);
   void LinkAsLastChild(NodeHandle parent, NodeHandle child);
   OrdKey NextChildOrd(NodeHandle parent) const;
+  /// Every node enters and leaves the two indexes here: the ID map and, for
+  /// attributes, the attribute-value index.
   void RegisterId(NodeHandle h);
   void UnregisterId(NodeHandle h);
 
   std::shared_ptr<LabelDict> dict_;
   std::vector<Node> nodes_;
   std::unordered_map<std::string, NodeHandle> id_index_;  // encoded ID -> node
+  // (attribute label, hash of value) -> attribute node. Lookups compare the
+  // node's text, so no value is copied and arena growth moves nothing.
+  std::unordered_multimap<uint64_t, NodeHandle> attr_index_;
   NodeHandle root_ = kNullNode;
   size_t num_alive_ = 0;
   size_t approx_bytes_ = 0;

@@ -11,7 +11,11 @@ namespace xvm {
 /// Evaluates an absolute XPath expression against `doc`, returning matching
 /// nodes in document order without duplicates. This is the "Find Target
 /// Nodes" substrate (the role Saxon plays in the paper's implementation,
-/// §6.1): update statements locate their target nodes with it.
+/// §6.1): update statements locate their target nodes with it. A step with
+/// an `[@a = "lit"]` conjunct (top level or under `and`) starts from the
+/// document's attribute-value index, so `/site/people/person[@id="p7"]`
+/// costs O(|targets|); other steps walk, and nested `//` contexts are
+/// walked once (DESIGN.md §2 "Target location").
 std::vector<NodeHandle> EvalXPath(const Document& doc, const XPathExpr& expr);
 
 /// Evaluates the relative path `steps` starting from `context`.

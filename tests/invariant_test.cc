@@ -1,10 +1,10 @@
 // Tests for the debug-mode invariant auditor (common/invariant.h,
 // store/audit.h, view/audit.h): a healthy workbench audits clean, and each
 // deliberately injected corruption — out-of-order canonical tuple, dangling
-// relation entry, mislabeled entry, dangling Dewey parent, diverged view
-// content, out-of-order snowcap — is reported with a precise diagnostic.
-// Also covers the runtime gate and the abort wiring in the maintenance
-// layer.
+// relation entry, mislabeled entry, dangling Dewey parent, stale attribute
+// index, diverged view content, out-of-order snowcap — is reported with a
+// precise diagnostic. Also covers the runtime gate and the abort wiring in
+// the maintenance layer.
 
 #include <gtest/gtest.h>
 
@@ -128,6 +128,20 @@ TEST(InvariantAuditTest, WrongIdLabelReported) {
   InvariantReport report;
   AuditDocument(wb.doc, &report);
   ASSERT_TRUE(report.Has("dewey.label")) << report.ToString();
+}
+
+TEST(InvariantAuditTest, StaleAttributeIndexReported) {
+  Workbench wb;
+  const NodeHandle id = wb.doc.AppendAttribute(wb.b2, "id", "b2");
+  InvariantReport clean;
+  AuditDocument(wb.doc, &clean);
+  ASSERT_TRUE(clean.ok()) << clean.ToString();
+  // Edit the value behind the index's back: the index still files the node
+  // under "b2", so a lookup of its new value misses it.
+  wb.doc.MutableNodeForTesting(id).text = "b9";
+  InvariantReport report;
+  AuditDocument(wb.doc, &report);
+  ASSERT_TRUE(report.Has("document.attr_index")) << report.ToString();
 }
 
 TEST(InvariantAuditTest, ViewDivergenceReported) {
