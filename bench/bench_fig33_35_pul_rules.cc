@@ -99,7 +99,7 @@ double RunSequence(Workbench* wb, ViewManager* mgr, const OpSequence& ops) {
   for (const AtomicOp& op : ops) {
     Pul pul;
     if (op.kind == AtomicOp::Kind::kDelete) {
-      NodeHandle h = doc->FindById(op.target);
+      NodeHandle h = store->FindById(op.target);
       if (h != kNullNode) pul.deletes.push_back(PulDeleteOp{h});
     }
     snapshot_dm.push_back(ComputeDeltaMinus(*doc, pul, nullptr, &needs));
@@ -111,7 +111,7 @@ double RunSequence(Workbench* wb, ViewManager* mgr, const OpSequence& ops) {
     if (op.kind == AtomicOp::Kind::kDelete) {
       PhaseTimer phase_timer;
       MaintenanceStats stats;
-      NodeHandle h = doc->FindById(op.target);
+      NodeHandle h = store->FindById(op.target);
       std::vector<NodeHandle> removed_nodes;
       if (h != kNullNode) removed_nodes = doc->DeleteSubtree(h);
       mv->PropagateDelete(snapshot_dm[i], &phase_timer, &stats);

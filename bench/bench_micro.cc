@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrates: dynamic order keys, structural ID operations, the stack-based
-// structural join, tree-pattern evaluation, delta extraction and target
-// location. These are not paper figures; they guard the constants behind
+// structural join, tree-pattern evaluation, delta extraction, target
+// location and ID resolution. These are not paper figures; they guard the constants behind
 // them.
 
 #include <benchmark/benchmark.h>
@@ -173,6 +173,26 @@ void BM_LocateTargets(benchmark::State& state) {
 BENCHMARK(BM_LocateTargets)
     ->ArgsProduct({{2560, 10240}, {0, 1, 2, 3, 4, 5}})
     ->Unit(benchmark::kMicrosecond);
+
+/// ID resolution through the canonical relations: StoreIndex::FindById of
+/// the IDs of 4096 nodes spread over the whole document (every label), so
+/// each lookup binary-searches its relation with cold caches. Arg 0 is the
+/// document size in KB.
+void BM_FindById(benchmark::State& state) {
+  const Document& doc = SharedXMark(static_cast<size_t>(state.range(0)));
+  StoreIndex store(&doc);
+  store.Build();
+  const std::vector<NodeHandle> all = doc.AllNodes();
+  std::vector<DeweyId> ids;
+  for (size_t i = 0; i < 4096; ++i) {
+    ids.push_back(doc.node(all[(i * 7919) % all.size()]).id);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.FindById(ids[i++ % ids.size()]));
+  }
+}
+BENCHMARK(BM_FindById)->Arg(2560)->Arg(10240);
 
 void BM_XMarkGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -617,7 +617,7 @@ class Checker {
     return false;
   }
 
-  void PimtMirror(const Document& doc, const StoreIndex& store,
+  void PimtMirror(const StoreIndex& store,
                   const DeltaTables& delta, Sim* sim) const {
     if (cvn_.empty() || delta.anchor_ids().empty()) return;
     for (auto& [key, entry] : sim->entries) {
@@ -627,7 +627,7 @@ class Checker {
             snowcap_plans_.stored_layout()[static_cast<size_t>(n)];
         const DeweyId& id = entry.tuple[static_cast<size_t>(l.id_col)].id();
         if (!AnyAnchorAtOrBelow(delta.anchor_ids(), id)) continue;
-        NodeHandle h = doc.FindById(id);
+        NodeHandle h = store.FindById(id);
         if (h == kNullNode) continue;
         if (l.val_col >= 0) {
           entry.tuple[static_cast<size_t>(l.val_col)] = Value(store.Val(h));
@@ -639,7 +639,7 @@ class Checker {
     }
   }
 
-  void PdmtMirror(const Document& doc, const StoreIndex& store,
+  void PdmtMirror(const StoreIndex& store,
                   const DeletedRegion& region, Sim* sim) const {
     if (cvn_.empty() || region.empty()) return;
     for (auto& [key, entry] : sim->entries) {
@@ -650,7 +650,7 @@ class Checker {
         const DeweyId& id = entry.tuple[static_cast<size_t>(l.id_col)].id();
         if (region.Covers(id)) continue;
         if (!AnyAnchorStrictlyBelow(region.roots(), id)) continue;
-        NodeHandle h = doc.FindById(id);
+        NodeHandle h = store.FindById(id);
         if (h == kNullNode) continue;
         if (l.val_col >= 0) {
           entry.tuple[static_cast<size_t>(l.val_col)] = Value(store.Val(h));
@@ -963,7 +963,7 @@ class Checker {
         XVM_RETURN_IF_ERROR(RunPass(/*is_delete=*/true, dm, region,
                                     /*with_region=*/true, dict, store, lattice,
                                     plans, &sim, &out));
-        PdmtMirror(doc, store, region, &sim);
+        PdmtMirror(store, region, &sim);
         SnowcapDeleteMirror(region, &lattice);
       }
     }
@@ -974,7 +974,7 @@ class Checker {
         XVM_RETURN_IF_ERROR(RunPass(/*is_delete=*/false, dp, region,
                                     /*with_region=*/!region.empty(), dict,
                                     store, lattice, plans, &sim, &out));
-        PimtMirror(doc, store, dp, &sim);
+        PimtMirror(store, dp, &sim);
         // MaintainSnowcapsInsert is deliberately not mirrored: within one
         // statement nothing downstream reads the snowcap rows it adds, so
         // the comparison below is insensitive to it (DESIGN.md).

@@ -232,7 +232,8 @@ void IvmaView::RefreshAllTuples(const Document& doc, const Affected& affected) {
       const NodeLayout& l = layout[static_cast<size_t>(node)];
       const DeweyId& id = ct.tuple[static_cast<size_t>(l.id_col)].id();
       if (!affected(id)) continue;
-      NodeHandle h = doc.FindById(id);
+      // ApplyPul has rolled the relations forward, so they match `doc`.
+      NodeHandle h = store_->FindById(id);
       if (h == kNullNode) continue;
       if (!out.has_value()) out = ct.tuple;
       if (l.val_col >= 0) {

@@ -244,7 +244,8 @@ OpSequence AggregateSequential(const OpSequence& a, const OpSequence& b,
 }
 
 ApplyResult ApplyAtomicOps(Document* doc, const OpSequence& ops,
-                           StoreIndex* store) {
+                           const StoreIndex& store) {
+  XVM_CHECK(&store.doc() == doc);
   ApplyResult result;
   // Roots inserted per op, for payload-ref resolution of unoptimized runs.
   std::vector<std::vector<NodeHandle>> roots_by_op(ops.size());
@@ -271,14 +272,15 @@ ApplyResult ApplyAtomicOps(Document* doc, const OpSequence& ops,
         }
       }
     } else {
-      target = doc->FindById(op.target);
+      // Nodes the sequence inserts get IDs only here; ops reach them by
+      // payload_ref, so every ID target is in the pre-sequence relations.
+      target = store.FindById(op.target);
     }
     if (target == kNullNode || !doc->IsAlive(target)) continue;
 
     if (op.kind == AtomicOp::Kind::kDelete) {
-      result.delete_root_ids.push_back(doc->node(target).id);
+      result.deleted_roots.push_back(target);
       std::vector<NodeHandle> removed = doc->DeleteSubtree(target);
-      if (store != nullptr) store->OnNodesRemoved(removed);
       result.deleted_nodes.insert(result.deleted_nodes.end(), removed.begin(),
                                   removed.end());
     } else {
@@ -290,7 +292,6 @@ ApplyResult ApplyAtomicOps(Document* doc, const OpSequence& ops,
         roots_by_op[i].push_back(copy);
         result.inserted_roots.push_back(copy);
         std::vector<NodeHandle> added = doc->SubtreeNodes(copy);
-        if (store != nullptr) store->OnNodesAdded(added);
         result.inserted_nodes.insert(result.inserted_nodes.end(),
                                      added.begin(), added.end());
       }
@@ -301,7 +302,6 @@ ApplyResult ApplyAtomicOps(Document* doc, const OpSequence& ops,
       std::unique(result.insert_target_ids.begin(),
                   result.insert_target_ids.end()),
       result.insert_target_ids.end());
-  if (store != nullptr) InvalidateStoreValCont(store, result);
   return result;
 }
 

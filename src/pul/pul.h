@@ -100,12 +100,13 @@ struct AggregateStats {
 OpSequence AggregateSequential(const OpSequence& a, const OpSequence& b,
                                AggregateStats* stats = nullptr);
 
-/// Applies an atomic-op sequence to the document in order, resolving targets
-/// by ID (ops whose target vanished are skipped, matching XQuery Update's
-/// snapshot-with-invalidation semantics). Payload-ref ops resolve against
-/// the trees inserted by their producer op. Maintains `store` if non-null.
+/// Applies an atomic-op sequence to the document in order, resolving ID
+/// targets through `store`'s pre-sequence relations (ops whose target
+/// vanished are skipped, matching XQuery Update's snapshot-with-invalidation
+/// semantics). Payload-ref ops resolve against the trees inserted by their
+/// producer op. Leaves the store to the caller, as ApplyPul(.., nullptr).
 ApplyResult ApplyAtomicOps(Document* doc, const OpSequence& ops,
-                           StoreIndex* store);
+                           const StoreIndex& store);
 
 }  // namespace xvm
 

@@ -132,12 +132,6 @@ void AuditDocument(const Document& doc, InvariantReport* report) {
                         std::to_string(doc.node(c).parent));
       }
     }
-    if (doc.FindById(n.id) != h) {
-      report->Add("document.id_index",
-                  "ID of " + NodeDesc(doc, h) +
-                      " does not resolve back to it (FindById -> node#" +
-                      std::to_string(doc.FindById(n.id)) + ")");
-    }
   }
   AuditAttributeIndex(doc, report);
 }
@@ -162,6 +156,13 @@ void AuditStoreIndex(const Document& doc, const StoreIndex& store,
         report->Add("store.label",
                     "relation '" + rel_name + "' entry " + std::to_string(i) +
                         " holds " + NodeDesc(doc, h));
+      }
+      const NodeHandle found = store.FindById(doc.node(h).id);
+      if (found != h) {
+        report->Add("store.find_by_id",
+                    "ID of " + NodeDesc(doc, h) + " in relation '" + rel_name +
+                        "' does not resolve back to it (FindById -> node#" +
+                        std::to_string(found) + ")");
       }
       if (i > 0 && doc.IsAlive(rel.nodes()[i - 1]) &&
           !(doc.node(rel.nodes()[i - 1]).id < doc.node(h).id)) {

@@ -24,17 +24,16 @@ void AuditLabelDict(const LabelDict& dict, InvariantReport* report);
 /// the self-describing property of §2.1 ("dewey.parent_prefix") — roots must
 /// have depth-1 IDs ("dewey.root_depth"), document order must be strictly
 /// increasing over AllNodes() ("document.preorder"), parent/child links must
-/// be reciprocal ("document.links"), the ID index must resolve every
-/// alive node's ID back to it ("document.id_index"), and the attribute-value
-/// index must equal one rebuilt from the live attributes
-/// ("document.attr_index").
+/// be reciprocal ("document.links"), and the attribute-value index must
+/// equal one rebuilt from the live attributes ("document.attr_index").
 void AuditDocument(const Document& doc, InvariantReport* report);
 
 /// Canonical relation consistency against the document: every entry alive
 /// ("store.alive") and carrying the relation's label ("store.label"),
 /// entries in strictly increasing document order ("store.document_order"),
-/// and the relations collectively covering every alive node exactly once
-/// ("store.complete").
+/// every entry's ID resolving back to it through StoreIndex::FindById
+/// ("store.find_by_id"), and the relations collectively covering every
+/// alive node exactly once ("store.complete").
 void AuditStoreIndex(const Document& doc, const StoreIndex& store,
                      InvariantReport* report);
 

@@ -90,30 +90,20 @@ std::string StoreIndex::Cont(NodeHandle h) const {
   return out;
 }
 
-void StoreIndex::InvalidateValContUpward(const DeweyId& id) {
-  NodeHandle h = doc_->FindById(id);
-  if (h != kNullNode) {
-    // Alive anchor: parent links give the ancestor chain directly.
-    for (NodeHandle cur = h; cur != kNullNode; cur = doc_->node(cur).parent) {
-      cache_.Erase(cur);
-    }
-    return;
-  }
-  // The node itself is gone (deleted subtree root); its surviving ancestors
-  // are found by resolving each Dewey prefix.
-  for (DeweyId cur = id.Parent(); !cur.empty(); cur = cur.Parent()) {
-    NodeHandle anc = doc_->FindById(cur);
-    if (anc != kNullNode) cache_.Erase(anc);
-  }
-}
-
-void StoreIndex::EraseValCont(const std::vector<NodeHandle>& nodes) {
-  for (NodeHandle h : nodes) cache_.Erase(h);
-}
-
 const CanonicalRelation& StoreIndex::Relation(LabelId label) const {
   auto it = relations_.find(label);
   return it == relations_.end() ? kEmpty : it->second;
+}
+
+NodeHandle StoreIndex::FindById(const DeweyId& id) const {
+  if (id.empty()) return kNullNode;
+  const std::vector<NodeHandle>& nodes = Relation(id.label()).nodes_;
+  auto it = std::lower_bound(nodes.begin(), nodes.end(), id,
+                             [this](NodeHandle h, const DeweyId& x) {
+                               return doc_->node(h).id < x;
+                             });
+  if (it == nodes.end() || doc_->node(*it).id != id) return kNullNode;
+  return doc_->IsAlive(*it) ? *it : kNullNode;
 }
 
 }  // namespace xvm

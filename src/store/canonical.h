@@ -80,6 +80,11 @@ class StoreIndex {
   /// The relation for `label`; an empty static relation if absent.
   const CanonicalRelation& Relation(LabelId label) const;
 
+  /// The alive node carrying `id`, or kNullNode: a binary search of the
+  /// document-ordered R_label(id). Between a statement's PUL application
+  /// and its roll-forward, nodes it deleted or inserted do not resolve.
+  NodeHandle FindById(const DeweyId& id) const;
+
   /// `val` of a tuple: the node's XPath string value, served from the
   /// delta-aware cache when enabled. Dead nodes bypass the cache entirely
   /// (delete propagation scans them before σ_alive filters), so the cache
@@ -89,15 +94,6 @@ class StoreIndex {
 
   /// `cont` of a tuple: the serialized subtree, same caching contract.
   std::string Cont(NodeHandle h) const;
-
-  /// Invalidates the cache entry of the node with structural ID `id` (if it
-  /// still resolves) and of every ancestor, whose val/cont embed the changed
-  /// subtree. Uses parent links when the node is alive and the Dewey
-  /// Parent() chain when it is not (deleted roots no longer resolve).
-  void InvalidateValContUpward(const DeweyId& id);
-
-  /// Drops the cache entries of the given (typically deleted) nodes.
-  void EraseValCont(const std::vector<NodeHandle>& nodes);
 
   ValContCache& cache() { return cache_; }
   const ValContCache& cache() const { return cache_; }

@@ -1,6 +1,7 @@
 #include "update/update.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "xml/parser.h"
 #include "xpath/xpath_eval.h"
@@ -98,7 +99,7 @@ ApplyResult ApplyPul(Document* doc, const Pul& pul, StoreIndex* store) {
   // an earlier-deleted root, so every node is removed exactly once.
   for (const auto& del : pul.deletes) {
     if (!doc->IsAlive(del.target)) continue;
-    result.delete_root_ids.push_back(doc->node(del.target).id);
+    result.deleted_roots.push_back(del.target);
     std::vector<NodeHandle> removed = doc->DeleteSubtree(del.target);
     result.deleted_nodes.insert(result.deleted_nodes.end(), removed.begin(),
                                 removed.end());
@@ -132,16 +133,22 @@ ApplyResult ApplyPul(Document* doc, const Pul& pul, StoreIndex* store) {
 
 void InvalidateStoreValCont(StoreIndex* store, const ApplyResult& applied) {
   if (store == nullptr) return;
+  ValContCache& cache = store->cache();
   // Deleted nodes can never serve cached payloads again (handles are not
   // reused), but their entries still count against the byte budget.
-  store->EraseValCont(applied.deleted_nodes);
+  for (NodeHandle h : applied.deleted_nodes) cache.Erase(h);
   // Freshly inserted nodes have fresh handles, so they cannot alias stale
-  // entries; only the anchors' ancestor chains hold embedding payloads.
-  for (const DeweyId& id : applied.insert_target_ids) {
-    store->InvalidateValContUpward(id);
-  }
-  for (const DeweyId& id : applied.delete_root_ids) {
-    store->InvalidateValContUpward(id);
+  // entries; only the anchors' ancestor chains hold embedding payloads. A
+  // walk stops at a node an earlier walk erased, with all its ancestors.
+  const Document& doc = store->doc();
+  std::unordered_set<NodeHandle> erased;
+  for (const auto* roots : {&applied.inserted_roots, &applied.deleted_roots}) {
+    for (NodeHandle root : *roots) {
+      for (NodeHandle h = doc.node(root).parent;
+           h != kNullNode && erased.insert(h).second; h = doc.node(h).parent) {
+        cache.Erase(h);
+      }
+    }
   }
 }
 

@@ -91,8 +91,9 @@ struct ApplyResult {
   std::vector<DeweyId> insert_target_ids;
   /// Every node removed, including descendants.
   std::vector<NodeHandle> deleted_nodes;
-  /// IDs of the deleted subtree roots.
-  std::vector<DeweyId> delete_root_ids;
+  /// Roots of the deleted subtrees. A dead root keeps its parent link, so
+  /// the surviving ancestors stay reachable from it.
+  std::vector<NodeHandle> deleted_roots;
 };
 
 /// apply-insert / apply-delete (paper §3.4): executes the PUL against `doc`,
@@ -104,13 +105,13 @@ struct ApplyResult {
 ApplyResult ApplyPul(Document* doc, const Pul& pul, StoreIndex* store);
 
 /// Invalidates the store's val/cont cache for one applied update: drops the
-/// entries of every deleted node, then walks up from each Δ anchor — every
-/// insert-target ID and every deleted subtree root's parent chain — erasing
-/// cached ancestors, whose val/cont embed the changed subtrees. The
-/// maintenance flows apply the PUL with store == nullptr and roll the
-/// relations forward only after propagation, but the cache is defined
-/// against the *current* document, so they must call this immediately after
-/// ApplyPul mutates the document. No-op if `store` is null.
+/// entries of every deleted node, then follows parent links up from each
+/// inserted and deleted subtree root, erasing the cached ancestors, whose
+/// val/cont embed the changed subtrees. It reads handles only, never IDs,
+/// so the relations may lag: the maintenance flows apply the PUL with
+/// store == nullptr, roll the relations forward after propagation, and call
+/// this right after ApplyPul, as the cache is defined against the current
+/// document. No-op if `store` is null.
 void InvalidateStoreValCont(StoreIndex* store, const ApplyResult& applied);
 
 }  // namespace xvm

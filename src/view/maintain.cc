@@ -79,6 +79,9 @@ bool AnyPayloadAffected(const UpkeepOrder& order, const Affected& affected,
 /// re-read. store->Val/Cont: the anchors were invalidated right after the
 /// PUL applied, so this recomputes once and the other views' passes over
 /// the same node hit the cache.
+/// `affected` picks ancestors-or-self of Δ anchors, which predate this
+/// statement, so they resolve through its (lagging) relations. A target in
+/// a copy an op sequence just inserted does not; its rows came from Δ+.
 template <typename Affected>
 bool RefreshPayloads(StoreIndex* store, const UpkeepOrder& order,
                      const Affected& affected, Tuple* t) {
@@ -86,7 +89,7 @@ bool RefreshPayloads(StoreIndex* store, const UpkeepOrder& order,
   for (const UpkeepOrder::Payload& p : order.payloads) {
     const DeweyId& id = (*t)[static_cast<size_t>(p.cols.id_col)].id();
     if (!affected(id)) continue;
-    NodeHandle h = store->doc().FindById(id);
+    NodeHandle h = store->FindById(id);
     if (h == kNullNode) continue;
     if (p.cols.val_col >= 0) {
       (*t)[static_cast<size_t>(p.cols.val_col)] = Value(store->Val(h));

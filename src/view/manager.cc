@@ -144,6 +144,9 @@ StatusOr<MultiUpdateOutcome> ViewManager::ApplyOpsAndPropagateAll(
     return Status::FailedPrecondition(
         "atomic-op sequences cannot be logged: the WAL records statements");
   }
+  // Targets resolve through the canonical relations, which must first
+  // catch up with statements still queued by Defer.
+  if (!queue_.empty()) Flush();
   publisher_.BeginStatement(++seq_);
   // Δ− must be read off the document before the ops touch it; payload-ref
   // deletes remove copies the sequence itself inserted.
@@ -152,7 +155,7 @@ StatusOr<MultiUpdateOutcome> ViewManager::ApplyOpsAndPropagateAll(
     if (op.kind != AtomicOp::Kind::kDelete || op.payload_ref.has_value()) {
       continue;
     }
-    NodeHandle h = doc_->FindById(op.target);
+    NodeHandle h = store_->FindById(op.target);
     if (h != kNullNode) deletes.deletes.push_back(PulDeleteOp{h});
   }
   StagePul(deletes, &ops);
@@ -202,7 +205,7 @@ void ViewManager::StagePul(const Pul& pul, const OpSequence* ops) {
     plan.region = DeletedRegion(plan.delta_minus.anchor_ids());
   }
   ApplyResult applied = ops == nullptr ? ApplyPul(doc_, pul, nullptr)
-                                       : ApplyAtomicOps(doc_, *ops, nullptr);
+                                       : ApplyAtomicOps(doc_, *ops, *store_);
   // The store rolls forward in the flush half, but the val/cont cache is
   // defined against the current document — invalidate before anything
   // reads through it.

@@ -142,8 +142,11 @@ class ViewManager {
 
   /// Like ApplyAndPropagateAll for an already-expanded atomic-op sequence
   /// (the §5 pipeline: compute-pul → optimization rules → propagate). Its Δ−
-  /// covers the sequence's plain delete targets. WAL records are
-  /// UpdateStmts, so this returns FailedPrecondition while durability is on.
+  /// covers the sequence's plain delete targets. Statements queued by Defer
+  /// are flushed first, since the ops' ID targets resolve through the
+  /// canonical relations; the returned outcome covers the sequence only.
+  /// WAL records are UpdateStmts, so this returns FailedPrecondition while
+  /// durability is on.
   StatusOr<MultiUpdateOutcome> ApplyOpsAndPropagateAll(const OpSequence& ops);
 
   /// The stage half on its own: logs and applies the statement to the

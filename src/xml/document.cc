@@ -52,17 +52,15 @@ uint64_t AttrKey(LabelId label, std::string_view value) {
 
 }  // namespace
 
-void Document::RegisterId(NodeHandle h) {
+void Document::IndexAttribute(NodeHandle h) {
   const Node& n = nodes_[h];
-  id_index_[n.id.Encode()] = h;
   if (n.kind == NodeKind::kAttribute) {
     attr_index_.emplace(AttrKey(n.label, n.text), h);
   }
 }
 
-void Document::UnregisterId(NodeHandle h) {
+void Document::UnindexAttribute(NodeHandle h) {
   const Node& n = nodes_[h];
-  id_index_.erase(n.id.Encode());
   if (n.kind != NodeKind::kAttribute) return;
   auto [it, end] = attr_index_.equal_range(AttrKey(n.label, n.text));
   for (; it != end; ++it) {
@@ -87,7 +85,6 @@ NodeHandle Document::CreateRoot(std::string_view label) {
   NodeHandle h = NewNode(NodeKind::kElement, dict_->Intern(label), "");
   nodes_[h].id = DeweyId::Root(nodes_[h].label);
   root_ = h;
-  RegisterId(h);
   return h;
 }
 
@@ -97,7 +94,6 @@ NodeHandle Document::AppendElement(NodeHandle parent, std::string_view label) {
   nodes_[h].id = nodes_[parent].id.Child(nodes_[h].label,
                                          NextChildOrd(parent));
   LinkAsLastChild(parent, h);
-  RegisterId(h);
   return h;
 }
 
@@ -107,7 +103,6 @@ NodeHandle Document::AppendText(NodeHandle parent, std::string_view text) {
   nodes_[h].id = nodes_[parent].id.Child(nodes_[h].label,
                                          NextChildOrd(parent));
   LinkAsLastChild(parent, h);
-  RegisterId(h);
   return h;
 }
 
@@ -120,7 +115,7 @@ NodeHandle Document::AppendAttribute(NodeHandle parent, std::string_view name,
   nodes_[h].id = nodes_[parent].id.Child(nodes_[h].label,
                                          NextChildOrd(parent));
   LinkAsLastChild(parent, h);
-  RegisterId(h);
+  IndexAttribute(h);
   return h;
 }
 
@@ -151,7 +146,6 @@ NodeHandle Document::InsertElementAfter(NodeHandle after,
   } else {
     nodes_[parent].last_child = h;
   }
-  RegisterId(h);
   return h;
 }
 
@@ -181,7 +175,6 @@ NodeHandle Document::InsertElementBefore(NodeHandle before,
   } else {
     nodes_[parent].first_child = h;
   }
-  RegisterId(h);
   return h;
 }
 
@@ -233,7 +226,7 @@ std::vector<NodeHandle> Document::DeleteSubtree(NodeHandle n) {
     root_ = kNullNode;
   }
   for (NodeHandle h : removed) {
-    UnregisterId(h);
+    UnindexAttribute(h);
     nodes_[h].alive = false;
     --num_alive_;
   }
@@ -253,14 +246,8 @@ NodeHandle Document::RestoreNode(NodeHandle parent, NodeKind kind,
     XVM_CHECK(IsAlive(parent));
     LinkAsLastChild(parent, h);
   }
-  RegisterId(h);
+  IndexAttribute(h);
   return h;
-}
-
-NodeHandle Document::FindById(const DeweyId& id) const {
-  auto it = id_index_.find(id.Encode());
-  if (it == id_index_.end()) return kNullNode;
-  return nodes_[it->second].alive ? it->second : kNullNode;
 }
 
 std::string Document::StringValue(NodeHandle h) const {

@@ -41,10 +41,11 @@ struct Node {
 };
 
 /// An in-memory XML document: an arena of nodes carrying Compact Dynamic
-/// Dewey IDs, with an ID -> node map so stored IDs (e.g. in materialized
-/// views) can be resolved back to nodes when recomputing `val`/`cont`, and
-/// an attribute-value index so XPath steps like `person[@id="p7"]` find
-/// their nodes without walking (xpath/xpath_eval.h).
+/// Dewey IDs, with an attribute-value index so XPath steps like
+/// `person[@id="p7"]` find their nodes without walking (xpath/xpath_eval.h).
+/// Stored IDs (e.g. in materialized views) resolve back to nodes through the
+/// canonical relations (StoreIndex::FindById in store/canonical.h), which
+/// are sorted in document order and so already index nodes by ID.
 ///
 /// Update operations (AppendChild / InsertSiblingAfter / CopySubtree /
 /// DeleteSubtree) assign dynamic IDs and never relabel existing nodes.
@@ -102,9 +103,6 @@ class Document {
   size_t num_alive() const { return num_alive_; }
   size_t arena_size() const { return nodes_.size(); }
 
-  /// Resolves a structural ID to its node, or kNullNode if absent/dead.
-  NodeHandle FindById(const DeweyId& id) const;
-
   /// XPath string value: concatenation of all text descendants in document
   /// order (§2.2). For text/attribute nodes, their own text.
   std::string StringValue(NodeHandle h) const;
@@ -150,7 +148,7 @@ class Document {
   /// so that stored view tuples keep resolving. `parent` is kNullNode for
   /// the root; nodes must be restored in document order. `label` must
   /// already be interned. The caller validates ID/parent/order consistency;
-  /// this method only links and registers.
+  /// this method only links and indexes.
   NodeHandle RestoreNode(NodeHandle parent, NodeKind kind, LabelId label,
                          std::string_view text, DeweyId id);
 
@@ -163,14 +161,13 @@ class Document {
   NodeHandle NewNode(NodeKind kind, LabelId label, std::string_view text);
   void LinkAsLastChild(NodeHandle parent, NodeHandle child);
   OrdKey NextChildOrd(NodeHandle parent) const;
-  /// Every node enters and leaves the two indexes here: the ID map and, for
-  /// attributes, the attribute-value index.
-  void RegisterId(NodeHandle h);
-  void UnregisterId(NodeHandle h);
+  /// Attribute nodes enter and leave the attribute-value index here; other
+  /// kinds are ignored.
+  void IndexAttribute(NodeHandle h);
+  void UnindexAttribute(NodeHandle h);
 
   std::shared_ptr<LabelDict> dict_;
   std::vector<Node> nodes_;
-  std::unordered_map<std::string, NodeHandle> id_index_;  // encoded ID -> node
   // (attribute label, hash of value) -> attribute node. Lookups compare the
   // node's text, so no value is copied and arena growth moves nothing.
   std::unordered_multimap<uint64_t, NodeHandle> attr_index_;

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/invariant.h"
 #include "pattern/compile.h"
+#include "store/audit.h"
 #include "xmark/generator.h"
 #include "xmark/updates.h"
 #include "xmark/views.h"
 #include "xml/parser.h"
+#include "xpath/xpath_eval.h"
 
 namespace xvm {
 namespace {
@@ -213,6 +216,73 @@ TEST(DeferredViewTest, ReplaceIsDeferredLikeAnyStatement) {
   ViewSnapshotPtr got = Read(&f.mgr);
   ExpectMatchesRecompute(*got, f.mgr, f.store);
   EXPECT_EQ(got->size(), 3u);
+}
+
+/// Audits the storage layer (document, relations, val/cont cache).
+void ExpectStorageClean(const SmallFixture& f) {
+  InvariantReport report;
+  AuditStorageLayer(f.doc, f.store, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+/// The relations lag the document until each queued statement rolls
+/// forward. Statements that insert under, and delete inside, a subtree an
+/// earlier queued statement inserted find their targets in the document;
+/// their cache invalidation follows parent links, and their payload
+/// refreshes resolve the new subtree's IDs once its roll-forward is done.
+TEST(DeferredViewTest, StatementsInsideSubtreeOfEarlierQueuedInsert) {
+  ScopedInvariantAuditing audit(true);
+  SmallFixture f("<r><a><b>1<c/></b></a></r>",
+                 "//a{id,cont}(//b{id,val}(//c{id}))");
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::InsertForest(
+                              "//a", "<b id=\"n\">2<d id=\"m\"><c/>3</d></b>"))
+                  .ok());
+  ASSERT_TRUE(
+      f.mgr.Defer(UpdateStmt::InsertForest("//b[@id=\"n\"]/d", "<c>4</c>"))
+          .ok());
+  ASSERT_TRUE(f.mgr.Defer(UpdateStmt::Delete("//d[@id=\"m\"]/c")).ok());
+  ASSERT_TRUE(
+      f.mgr.Defer(UpdateStmt::InsertForest("//d[@id=\"m\"]", "<c>5</c>"))
+          .ok());
+  EXPECT_EQ(f.mgr.pending(), 4u);
+  ViewSnapshotPtr got = Read(&f.mgr);
+  ExpectMatchesRecompute(*got, f.mgr, f.store);
+  // (a, b1, c1) and (a, new b, the c the last statement inserted).
+  EXPECT_EQ(got->size(), 2u);
+  ExpectStorageClean(f);
+}
+
+/// An op sequence addresses nodes by ID, and IDs resolve through the
+/// relations: ApplyOpsAndPropagateAll must flush the statements queued
+/// before it, or ops on the nodes they inserted would find nothing.
+TEST(DeferredViewTest, OpSequenceFlushesQueuedStatementsFirst) {
+  ScopedInvariantAuditing audit(true);
+  SmallFixture f("<r><a><b>1<c/></b></a></r>",
+                 "//a{id,cont}(//b{id,val}(//c{id}))");
+  ASSERT_TRUE(
+      f.mgr.Defer(UpdateStmt::InsertForest("//a", "<b id=\"n\">2<d/></b>"))
+          .ok());
+  ASSERT_EQ(f.mgr.pending(), 1u);
+  auto b = EvalXPathString(f.doc, "//b[@id=\"n\"]");
+  auto d = EvalXPathString(f.doc, "//b[@id=\"n\"]/d");
+  ASSERT_TRUE(b.ok() && d.ok());
+  ASSERT_EQ(b->size(), 1u);
+  ASSERT_EQ(d->size(), 1u);
+  auto forest = std::make_shared<Document>(f.doc.dict_ptr());
+  ASSERT_TRUE(ParseForest("<c>3</c>", forest.get()).ok());
+  const OpSequence ops = {
+      AtomicOp::InsInto(f.doc.node(b->front()).id, forest),
+      AtomicOp::Del(f.doc.node(d->front()).id)};
+
+  auto out = f.mgr.ApplyOpsAndPropagateAll(ops);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(f.mgr.pending(), 0u);
+  EXPECT_EQ(out->nodes_inserted, 2u);  // <c> and its text
+  EXPECT_EQ(out->nodes_deleted, 1u);   // <d/>
+  ViewSnapshotPtr got = f.mgr.Snapshot(0);
+  ExpectMatchesRecompute(*got, f.mgr, f.store);
+  EXPECT_EQ(got->size(), 2u);
+  ExpectStorageClean(f);
 }
 
 }  // namespace

@@ -24,8 +24,17 @@ namespace {
 constexpr const char* kLabels[] = {"a", "b", "c", "d", "e"};
 constexpr size_t kNumLabels = 5;
 
-/// Builds a random document of ~`n` elements with occasional text children.
-void RandomDocument(Rng* rng, int n, Document* doc) {
+/// Values of the `id` attributes that `attrs` documents and forests carry,
+/// and that @id-addressed statements select.
+constexpr size_t kNumIdValues = 6;
+
+std::string RandomIdValue(Rng* rng) {
+  return "k" + std::to_string(rng->Uniform(kNumIdValues));
+}
+
+/// Builds a random document of ~`n` elements with occasional text children;
+/// with `attrs`, a third of the elements also carry an `id` attribute.
+void RandomDocument(Rng* rng, int n, Document* doc, bool attrs = false) {
   NodeHandle root = doc->CreateRoot("r");
   std::vector<NodeHandle> nodes = {root};
   for (int i = 0; i < n; ++i) {
@@ -33,6 +42,9 @@ void RandomDocument(Rng* rng, int n, Document* doc) {
     NodeHandle fresh =
         doc->AppendElement(parent, kLabels[rng->Uniform(kNumLabels)]);
     nodes.push_back(fresh);
+    if (attrs && rng->Chance(1, 3)) {
+      doc->AppendAttribute(fresh, "id", RandomIdValue(rng));
+    }
     if (rng->Chance(1, 4)) {
       doc->AppendText(fresh, std::to_string(rng->Uniform(3)));
     }
@@ -85,13 +97,19 @@ TreePattern RandomPattern(Rng* rng) {
   return std::move(p).value();
 }
 
-/// A random forest of depth <= 2 over the alphabet.
-std::string RandomForest(Rng* rng) {
+/// A random forest of depth <= 2 over the alphabet; with `attrs`, tree
+/// roots may carry an `id` attribute, so later @id-addressed statements can
+/// select inserted nodes.
+std::string RandomForest(Rng* rng, bool attrs = false) {
   std::string forest;
   size_t trees = 1 + rng->Uniform(2);
   for (size_t t = 0; t < trees; ++t) {
     const char* l1 = kLabels[rng->Uniform(kNumLabels)];
-    forest += std::string("<") + l1 + ">";
+    forest += std::string("<") + l1;
+    if (attrs && rng->Chance(1, 2)) {
+      forest += " id=\"" + RandomIdValue(rng) + "\"";
+    }
+    forest += ">";
     size_t kids = rng->Uniform(3);
     for (size_t c = 0; c < kids; ++c) {
       const char* l2 = kLabels[rng->Uniform(kNumLabels)];
@@ -103,19 +121,25 @@ std::string RandomForest(Rng* rng) {
 }
 
 /// A random statement over the alphabet; with `replace`, a quarter of the
-/// non-delete statements replace their targets' content instead.
-UpdateStmt RandomStatement(Rng* rng, bool replace = false) {
+/// non-delete statements replace their targets' content instead. With
+/// `attrs`, a third of the statements select their targets by `@id` value
+/// (the attribute-value index path of target location), and inserted
+/// forests carry `id` attributes too.
+UpdateStmt RandomStatement(Rng* rng, bool replace = false,
+                           bool attrs = false) {
   const char* target_label = kLabels[rng->Uniform(kNumLabels)];
   std::string target = std::string("//") + target_label;
-  if (rng->Chance(1, 3)) {
+  if (attrs && rng->Chance(1, 3)) {
+    target += "[@id=\"" + RandomIdValue(rng) + "\"]";
+  } else if (rng->Chance(1, 3)) {
     // Narrow the target with an existence predicate.
     target += std::string("[") + kLabels[rng->Uniform(kNumLabels)] + "]";
   }
   if (rng->Chance(2, 5)) return UpdateStmt::Delete(target);
   if (replace && rng->Chance(1, 4)) {
-    return UpdateStmt::ReplaceContent(target, RandomForest(rng));
+    return UpdateStmt::ReplaceContent(target, RandomForest(rng, attrs));
   }
-  return UpdateStmt::InsertForest(target, RandomForest(rng));
+  return UpdateStmt::InsertForest(target, RandomForest(rng, attrs));
 }
 
 void ExpectStoreConsistent(const Document& doc, const StoreIndex& store) {
@@ -144,7 +168,7 @@ TEST_P(FuzzStreamTest, MaintainedEqualsRecomputedUnderRandomStream) {
   ScopedInvariantAuditing audit(true);
   Rng rng(static_cast<uint64_t>(GetParam()) * 1299709 + 17);
   Document doc;
-  RandomDocument(&rng, 150, &doc);
+  RandomDocument(&rng, 150, &doc, /*attrs=*/true);
   StoreIndex store(&doc);
   store.Build();
 
@@ -158,13 +182,15 @@ TEST_P(FuzzStreamTest, MaintainedEqualsRecomputedUnderRandomStream) {
 
   for (int step = 0; step < 12; ++step) {
     if (doc.root() == kNullNode) break;  // stream deleted the whole tree
-    UpdateStmt stmt = RandomStatement(&rng);
+    UpdateStmt stmt = RandomStatement(&rng, /*replace=*/false,
+                                      /*attrs=*/true);
     // Inserting under //label multiplies matching targets, so an insert-
-    // heavy stream can grow the document geometrically; past a bound, only
-    // deletions keep the differential check fast.
-    while (doc.num_alive() > 1000 &&
+    // heavy stream can grow the document geometrically, and nested
+    // same-label patterns grow the view polynomially in it; past either
+    // bound, only deletions keep the differential check fast.
+    while ((doc.num_alive() > 1000 || mv.view().size() > 5000) &&
            stmt.kind != UpdateStmt::Kind::kDelete) {
-      stmt = RandomStatement(&rng);
+      stmt = RandomStatement(&rng, /*replace=*/false, /*attrs=*/true);
     }
     auto out = mgr.ApplyAndPropagateAll(stmt);
     ASSERT_TRUE(out.ok()) << out.status().ToString() << " step " << step;
@@ -195,16 +221,16 @@ TEST_P(FuzzStreamTest, MaintainedEqualsRecomputedUnderRandomStream) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzStreamTest, ::testing::Range(1, 25));
 
-/// One ViewManager over a random document (seeded by `doc_seed`) with one
-/// view per pattern DSL; engines built from the same arguments are
-/// identical.
+/// One ViewManager over a random document (seeded by `doc_seed`, with `id`
+/// attributes if `attrs`) with one view per pattern DSL; engines built from
+/// the same arguments are identical.
 struct Engine {
   Engine(uint64_t doc_seed, size_t workers,
          const std::vector<std::string>& dsls,
-         const std::vector<LatticeStrategy>& strategies)
+         const std::vector<LatticeStrategy>& strategies, bool attrs = false)
       : store(&doc) {
     Rng doc_rng(doc_seed);
-    RandomDocument(&doc_rng, 120, &doc);
+    RandomDocument(&doc_rng, 120, &doc, attrs);
     store.Build();
     mgr = std::make_unique<ViewManager>(&doc, &store);
     mgr->set_workers(workers);
@@ -327,8 +353,9 @@ TEST_P(FuzzDeferredManagerTest, DeferredEqualsImmediateUnderRandomStream) {
     strategies.push_back(cfg_rng.Chance(1, 2) ? LatticeStrategy::kSnowcaps
                                               : LatticeStrategy::kLeaves);
   }
-  Engine immediate(seed, 1, pattern_dsls, strategies);
-  Engine deferred(seed, 1 + cfg_rng.Uniform(3), pattern_dsls, strategies);
+  Engine immediate(seed, 1, pattern_dsls, strategies, /*attrs=*/true);
+  Engine deferred(seed, 1 + cfg_rng.Uniform(3), pattern_dsls, strategies,
+                  /*attrs=*/true);
 
   Rng stream_rng(seed ^ 0x2545F4914F6CDD1DULL);
   uint64_t flushed_seq = 0;
@@ -343,9 +370,10 @@ TEST_P(FuzzDeferredManagerTest, DeferredEqualsImmediateUnderRandomStream) {
     }
     const bool shrink_only =
         immediate.doc.num_alive() > 400 || largest_view > 1000;
-    UpdateStmt stmt = RandomStatement(&stream_rng, /*replace=*/true);
+    UpdateStmt stmt =
+        RandomStatement(&stream_rng, /*replace=*/true, /*attrs=*/true);
     while (shrink_only && stmt.kind != UpdateStmt::Kind::kDelete) {
-      stmt = RandomStatement(&stream_rng, /*replace=*/true);
+      stmt = RandomStatement(&stream_rng, /*replace=*/true, /*attrs=*/true);
     }
     const std::string context = "step " + std::to_string(step);
     auto io = immediate.mgr->ApplyAndPropagateAll(stmt);

@@ -59,6 +59,21 @@ TEST(InvariantAuditTest, CleanViewAuditsOk) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+/// FindById binary-searches the relation, so an entry out of document
+/// order no longer resolves back to itself.
+TEST(InvariantAuditTest, UnresolvableIdReported) {
+  Workbench wb;
+  auto* nodes = wb.store.MutableNodesForTesting(wb.Label("a"));
+  ASSERT_EQ(nodes->size(), 2u);
+  std::swap((*nodes)[0], (*nodes)[1]);
+  InvariantReport report;
+  AuditStoreIndex(wb.doc, wb.store, &report);
+  ASSERT_TRUE(report.Has("store.find_by_id")) << report.ToString();
+  EXPECT_NE(report.ToString().find("in relation 'a' does not resolve"),
+            std::string::npos)
+      << report.ToString();
+}
+
 TEST(InvariantAuditTest, OutOfOrderTupleReported) {
   Workbench wb;
   auto* nodes = wb.store.MutableNodesForTesting(wb.Label("a"));

@@ -436,6 +436,8 @@ TEST(DocSnapshotTest, RoundTripPreservesIdsLabelsAndContent) {
 
   Document dst;
   ASSERT_TRUE(LoadDocumentFromBytes(bytes, &dst).ok());
+  StoreIndex dst_store(&dst);
+  dst_store.Build();
   EXPECT_EQ(dst.dict().size(), src.dict().size());
   for (LabelId l = 0; l < src.dict().size(); ++l) {
     EXPECT_EQ(dst.dict().Name(l), src.dict().Name(l));
@@ -450,7 +452,7 @@ TEST(DocSnapshotTest, RoundTripPreservesIdsLabelsAndContent) {
     EXPECT_EQ(a.kind, b.kind) << i;
     EXPECT_EQ(a.label, b.label) << i;
     EXPECT_EQ(a.text, b.text) << i;
-    EXPECT_EQ(dst.FindById(a.id), dn[i]) << i;  // ID index rebuilt
+    EXPECT_EQ(dst_store.FindById(a.id), dn[i]) << i;  // IDs resolve
   }
   EXPECT_EQ(SerializeSubtree(dst, dst.root()), SerializeSubtree(src, src.root()));
 }

@@ -134,8 +134,12 @@ TEST_F(PulTest, ReducedSequenceHasSameEffect) {
   ASSERT_TRUE(ParseDocument(SerializeDocument(doc_), &doc_b).ok());
   // Target IDs were taken from doc_; the copies share the same structure so
   // the ID-based ops resolve identically (fresh parse, same shapes/ords).
-  ApplyAtomicOps(&doc_a, ops, nullptr);
-  ApplyAtomicOps(&doc_b, reduced, nullptr);
+  StoreIndex store_a(&doc_a);
+  store_a.Build();
+  StoreIndex store_b(&doc_b);
+  store_b.Build();
+  ApplyAtomicOps(&doc_a, ops, store_a);
+  ApplyAtomicOps(&doc_b, reduced, store_b);
   EXPECT_EQ(SerializeDocument(doc_a), SerializeDocument(doc_b));
 }
 
@@ -217,7 +221,7 @@ TEST_F(PulTest, ApplyAtomicOpsSkipsVanishedTargets) {
   OpSequence ops = {AtomicOp::Del(b),
                     AtomicOp::InsInto(inner, Forest("<x/>"))};
   size_t before = doc_.num_alive();
-  ApplyResult result = ApplyAtomicOps(&doc_, ops, store_.get());
+  ApplyResult result = ApplyAtomicOps(&doc_, ops, *store_);
   EXPECT_TRUE(result.inserted_nodes.empty());  // target was deleted first
   EXPECT_LT(doc_.num_alive(), before);
 }
@@ -228,7 +232,7 @@ TEST_F(PulTest, ApplyAtomicOpsResolvesPayloadRefs) {
   AtomicOp op2 = AtomicOp::InsInto(DeweyId(), Forest("<w/>"));
   op2.payload_ref = PayloadRef{0, 0, {0}};  // the <q/> inside the new <z>
   ops.push_back(op2);
-  ApplyAtomicOps(&doc_, ops, store_.get());
+  ApplyAtomicOps(&doc_, ops, *store_);
   auto q = EvalXPathString(doc_, "//z/q/w");
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q->size(), 1u);

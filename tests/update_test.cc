@@ -71,7 +71,7 @@ TEST_F(UpdateTest, DeleteRemovesSubtrees) {
   ASSERT_TRUE(pul.ok());
   ApplyResult res = ApplyPul(doc_.get(), *pul, store_.get());
   EXPECT_EQ(res.deleted_nodes.size(), 3u);
-  EXPECT_EQ(res.delete_root_ids.size(), 2u);
+  EXPECT_EQ(res.deleted_roots.size(), 2u);
   EXPECT_EQ(Count("//a"), 0u);
   EXPECT_EQ(Count("//c"), 1u);
 }
@@ -84,7 +84,7 @@ TEST_F(UpdateTest, NestedDeleteTargetsHandledOnce) {
   EXPECT_EQ(pul->deletes.size(), 2u);
   ApplyResult res = ApplyPul(doc_.get(), *pul, store_.get());
   EXPECT_EQ(res.deleted_nodes.size(), 3u);    // each node once
-  EXPECT_EQ(res.delete_root_ids.size(), 1u);  // inner was already dead
+  EXPECT_EQ(res.deleted_roots.size(), 1u);  // inner was already dead
 }
 
 TEST_F(UpdateTest, BadTargetPathReportsError) {

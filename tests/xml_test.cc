@@ -40,9 +40,11 @@ TEST(DocumentTest, FindById) {
   Document doc;
   NodeHandle root = doc.CreateRoot("a");
   NodeHandle b = doc.AppendElement(root, "b");
-  EXPECT_EQ(doc.FindById(doc.node(b).id), b);
+  StoreIndex store(&doc);
+  store.Build();
+  EXPECT_EQ(store.FindById(doc.node(b).id), b);
   DeweyId fake = doc.node(b).id.Child(42, OrdKey::First());
-  EXPECT_EQ(doc.FindById(fake), kNullNode);
+  EXPECT_EQ(store.FindById(fake), kNullNode);
 }
 
 TEST(DocumentTest, StringValueConcatenatesTextDescendants) {
@@ -90,13 +92,16 @@ TEST(DocumentTest, DeleteSubtreeRemovesWholeSubtree) {
   NodeHandle b = doc.AppendElement(root, "b");
   NodeHandle c = doc.AppendElement(b, "c");
   NodeHandle d = doc.AppendElement(root, "d");
+  StoreIndex store(&doc);
+  store.Build();
   auto removed = doc.DeleteSubtree(b);
   EXPECT_EQ(removed.size(), 2u);
   EXPECT_FALSE(doc.IsAlive(b));
   EXPECT_FALSE(doc.IsAlive(c));
   EXPECT_TRUE(doc.IsAlive(d));
   EXPECT_EQ(doc.node(root).first_child, d);
-  EXPECT_EQ(doc.FindById(removed.empty() ? DeweyId() : doc.node(b).id),
+  // Still in the relations (not rolled forward), but dead.
+  EXPECT_EQ(store.FindById(removed.empty() ? DeweyId() : doc.node(b).id),
             kNullNode);
   EXPECT_EQ(doc.num_alive(), 2u);
 }
